@@ -6,10 +6,6 @@
 // n grows; the flat baseline beats the typed object engine by a constant
 // factor on this flat workload; the ALGRES-compiled backend sits between
 // them.
-//
-// The *ChainThreads benchmarks sweep the worker count at fixed n — the
-// parallel-scaling dimension. Speedup requires physical cores; on a
-// single-core host the extra threads only add partitioning overhead.
 
 #include <benchmark/benchmark.h>
 
@@ -31,15 +27,9 @@ using bench::ScaleFreeEdges;
 
 void RunLogres(benchmark::State& state, bool semi_naive,
                std::vector<std::pair<int64_t, int64_t>> edges,
-               size_t threads = 1, bool snapshot_steps = false,
-               EvalMode mode = EvalMode::kStratified,
                bool intern_values = true) {
-  Database db = EdgeDatabase(edges);
   EvalOptions options;
   options.semi_naive = semi_naive;
-  options.num_threads = threads;
-  options.use_snapshot_steps = snapshot_steps;
-  options.mode = mode;
   options.intern_values = intern_values;
   size_t result_size = 0;
   for (auto _ : state) {
@@ -67,54 +57,13 @@ void BM_LogresRandomSemiNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_LogresRandomSemiNaive)->Arg(16)->Arg(32)->Arg(64);
 
-// Parallel scaling: chain TC at fixed n across worker counts. Args are
-// {n, threads}. Results are byte-identical to the 1-thread run (see
-// tests/parallel_test.cc); only the wall clock may move.
-void BM_LogresChainThreads(benchmark::State& state) {
-  RunLogres(state, true, ChainEdges(state.range(0)),
-            static_cast<size_t>(state.range(1)));
-}
-BENCHMARK(BM_LogresChainThreads)
-    ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4});
-
-// Step-application path ablation at fixed n: the undo-log default
-// (arg 0) vs the historical copy-per-step reference behind
-// EvalOptions::use_snapshot_steps (arg 1). Results are byte-identical
-// (tests/parallel_test.cc proves it); only the per-step O(|instance|)
-// copy + compare cost separates them.
-void BM_LogresChainStepPath(benchmark::State& state) {
-  RunLogres(state, true, ChainEdges(state.range(0)), 1,
-            state.range(1) != 0);
-}
-BENCHMARK(BM_LogresChainStepPath)
-    ->Args({256, 0})->Args({256, 1})
-    ->Args({1024, 0})->Args({1024, 1});
-
-// Same ablation under non-inflationary (replacement) semantics — the loop
-// where the reference path genuinely rebuilds a fresh E ⊕ Δ instance and
-// whole-compares it against the previous state every step. The undo path
-// rolls the live instance back to E by reverse replay instead, so only
-// there does the per-step O(|instance|) copy + compare actually
-// disappear. Chain TC is monotone, so replacement semantics converge to
-// the same closure.
-void BM_LogresChainStepPathNoninf(benchmark::State& state) {
-  RunLogres(state, false, ChainEdges(state.range(0)), 1,
-            state.range(1) != 0, EvalMode::kNonInflationary);
-}
-BENCHMARK(BM_LogresChainStepPathNoninf)
-    ->Args({64, 0})->Args({64, 1})
-    ->Args({128, 0})->Args({128, 1});
-
-// The regime the in-place step is built for: a big EDB with a small
-// derived relation under replacement semantics. Bounded reachability over
-// an n-edge chain converges in ~33 steps with |REACH| <= 33, so the
-// reference path's per-step cost is the E ⊕ Δ rebuild plus the
-// whole-instance comparison — both O(n) — while the undo path rolls back
-// and re-derives only the ~33 net facts: O(|Δ|) per step regardless of n.
-void RunReachNoninf(benchmark::State& state, int64_t n,
-                    bool snapshot_steps, bool intern_values) {
+// Bounded reachability under non-inflationary (replacement) semantics: a
+// big EDB with a small derived relation. Over an n-edge chain it
+// converges in ~33 steps with |REACH| <= 33; each step rolls the live
+// instance back to E and re-derives only the ~33 net facts, O(|Δ|) per
+// step regardless of n.
+void RunReachNoninf(benchmark::State& state, int64_t n, bool intern_values) {
   EvalOptions options;
-  options.use_snapshot_steps = snapshot_steps;
   options.intern_values = intern_values;
   options.mode = EvalMode::kNonInflationary;
   size_t result_size = 0;
@@ -140,34 +89,25 @@ void RunReachNoninf(benchmark::State& state, int64_t n,
   state.counters["tc_tuples"] = static_cast<double>(result_size);
 }
 
-void BM_LogresReachStepPathNoninf(benchmark::State& state) {
-  RunReachNoninf(state, state.range(0), state.range(1) != 0, true);
-}
-BENCHMARK(BM_LogresReachStepPathNoninf)
-    ->Args({1024, 0})->Args({1024, 1})
-    ->Args({4096, 0})->Args({4096, 1});
-
-// Interner ablation on the bounded-reach loop (args {n, intern}), on the
-// default undo-log step path: every step rolls back and re-derives the
-// same ~33 REACH facts, so with interning on each re-derivation is a
-// table hit resolving to the canonical node instead of a fresh
-// allocation, and every membership re-check is a pointer compare.
+// Interner ablation on the bounded-reach loop (args {n, intern}): every
+// step rolls back and re-derives the same ~33 REACH facts, so with
+// interning on each re-derivation is a table hit resolving to the
+// canonical node instead of a fresh allocation, and every membership
+// re-check is a pointer compare.
 void BM_LogresReachInternedNoninf(benchmark::State& state) {
-  RunReachNoninf(state, state.range(0), false, state.range(1) != 0);
+  RunReachNoninf(state, state.range(0), state.range(1) != 0);
 }
 BENCHMARK(BM_LogresReachInternedNoninf)
     ->Args({1024, 0})->Args({1024, 1})
     ->Args({4096, 0})->Args({4096, 1});
 
-// Value-interner ablation, mirroring the *StepPath series: hash-consing
-// off (arg 0, the historical fresh-allocation path behind
-// EvalOptions::intern_values) vs on (arg 1, the default). Dumps are
-// byte-identical either way (tests/random_program_test.cc proves it);
-// what moves is the cost of materializing and re-comparing duplicate
-// derivations.
+// Value-interner ablation: hash-consing off (arg 0, the historical
+// fresh-allocation path behind EvalOptions::intern_values) vs on (arg 1,
+// the default). Dumps are byte-identical either way
+// (tests/random_program_test.cc proves it); what moves is the cost of
+// materializing and re-comparing duplicate derivations.
 void BM_LogresChainInterned(benchmark::State& state) {
-  RunLogres(state, true, ChainEdges(state.range(0)), 1, false,
-            EvalMode::kStratified, state.range(1) != 0);
+  RunLogres(state, true, ChainEdges(state.range(0)), state.range(1) != 0);
 }
 BENCHMARK(BM_LogresChainInterned)
     ->Args({256, 0})->Args({256, 1})
@@ -182,8 +122,8 @@ void BM_LogresScaleFreeSemiNaive(benchmark::State& state) {
 BENCHMARK(BM_LogresScaleFreeSemiNaive)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_LogresScaleFreeInterned(benchmark::State& state) {
-  RunLogres(state, true, ScaleFreeEdges(state.range(0)), 1, false,
-            EvalMode::kStratified, state.range(1) != 0);
+  RunLogres(state, true, ScaleFreeEdges(state.range(0)),
+            state.range(1) != 0);
 }
 BENCHMARK(BM_LogresScaleFreeInterned)
     ->Args({128, 0})->Args({128, 1})
@@ -191,7 +131,7 @@ BENCHMARK(BM_LogresScaleFreeInterned)
 
 void RunAlgres(benchmark::State& state, AlgresStrategy strategy,
                std::vector<std::pair<int64_t, int64_t>> edges,
-               size_t threads = 1, bool intern_values = true) {
+               bool intern_values = true) {
   Database db = EdgeDatabase(edges);
   auto unit = Parse(bench::kTcRules);
   auto program = Typecheck(db.schema(), {}, unit->rules);
@@ -202,8 +142,7 @@ void RunAlgres(benchmark::State& state, AlgresStrategy strategy,
   }
   size_t result_size = 0;
   for (auto _ : state) {
-    auto out = backend->Run(db.edb(), strategy, Budget{}, threads,
-                            intern_values);
+    auto out = backend->Run(db.edb(), strategy, Budget{}, intern_values);
     if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
     result_size = out->TuplesOf("TC").size();
   }
@@ -220,25 +159,17 @@ BENCHMARK(BM_AlgresChainSemiNaive)
     ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 BENCHMARK(BM_AlgresChainNaive)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_AlgresChainThreads(benchmark::State& state) {
-  RunAlgres(state, AlgresStrategy::kSemiNaive, ChainEdges(state.range(0)),
-            static_cast<size_t>(state.range(1)));
-}
-BENCHMARK(BM_AlgresChainThreads)
-    ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4});
-
 // Same interner ablation for the compiled backend (args {n, intern}).
 void BM_AlgresScaleFreeInterned(benchmark::State& state) {
   RunAlgres(state, AlgresStrategy::kSemiNaive,
-            ScaleFreeEdges(state.range(0)), 1, state.range(1) != 0);
+            ScaleFreeEdges(state.range(0)), state.range(1) != 0);
 }
 BENCHMARK(BM_AlgresScaleFreeInterned)
     ->Args({256, 0})->Args({256, 1})
     ->Args({512, 0})->Args({512, 1});
 
 void RunDatalog(benchmark::State& state, datalog::EvalStrategy strategy,
-                std::vector<std::pair<int64_t, int64_t>> edges,
-                size_t threads = 1) {
+                std::vector<std::pair<int64_t, int64_t>> edges) {
   namespace dl = datalog;
   dl::Program p;
   for (const auto& [a, b] : edges) {
@@ -256,7 +187,6 @@ void RunDatalog(benchmark::State& state, datalog::EvalStrategy strategy,
   (void)p.AddRule(r2);
   dl::EvalOptions options;
   options.strategy = strategy;
-  options.num_threads = threads;
   size_t result_size = 0;
   for (auto _ : state) {
     auto db = Evaluate(p, options);
@@ -277,14 +207,6 @@ void BM_DatalogChainNaive(benchmark::State& state) {
 BENCHMARK(BM_DatalogChainSemiNaive)
     ->Arg(16)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 BENCHMARK(BM_DatalogChainNaive)->Arg(16)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_DatalogChainThreads(benchmark::State& state) {
-  RunDatalog(state, datalog::EvalStrategy::kSemiNaive,
-             ChainEdges(state.range(0)),
-             static_cast<size_t>(state.range(1)));
-}
-BENCHMARK(BM_DatalogChainThreads)
-    ->Args({1024, 1})->Args({1024, 2})->Args({1024, 4});
 
 // ---------------------------------------------------------------------------
 // Goal-directed point queries (magic sets, core/magic.h). Args are

@@ -2,9 +2,7 @@
 # Runs the access-path benchmarks (bench_tc: transitive closure across the
 # three engines; bench_engines: the B-workload suite) in Release mode and
 # distills the google-benchmark JSON into BENCH_tc.json — one record per
-# measurement: {workload, n, engine, strategy, threads, wall_ms, rows}.
-# The *ChainThreads benchmarks add a worker-count sweep at fixed n; the
-# smoke subset stays single-threaded (its name filter excludes them).
+# measurement: {workload, n, engine, strategy, wall_ms, rows}.
 # bench_storage (B11 durability overhead, B12 recovery vs checkpoint
 # fallback depth) is distilled separately into BENCH_storage.json.
 #
@@ -70,12 +68,6 @@ def wall_ms(b):
 tc_name = re.compile(
     r"BM_(Logres|Algres|Datalog)(Chain|Random|Forest|ScaleFree)"
     r"(SemiNaive|Naive)/(\d+)")
-# Parallel sweep: BM_<Engine>ChainThreads/<n>/<threads> (always semi-naive).
-tc_threads = re.compile(
-    r"BM_(Logres|Algres|Datalog)ChainThreads/(\d+)/(\d+)")
-# Step-application ablation: BM_Logres<Wl>StepPath[Noninf]/<n>/<snapshot>.
-tc_steppath = re.compile(
-    r"BM_Logres(Chain|Reach)StepPath(Noninf)?/(\d+)/([01])")
 # Value-interner ablation: BM_<Engine><Wl>Interned[Noninf]/<n>/<intern>.
 tc_interned = re.compile(
     r"BM_(Logres|Algres)(Chain|ScaleFree|Reach)Interned(Noninf)?"
@@ -101,7 +93,6 @@ for b in json.load(open(tc_path))["benchmarks"]:
             "n": int(n),
             "engine": engine.lower(),
             "strategy": "semi_naive" if strategy == "SemiNaive" else "naive",
-            "threads": 1,
             "wall_ms": wall_ms(b),
             "rows": int(b.get("tc_tuples", 0)),
         })
@@ -117,7 +108,6 @@ for b in json.load(open(tc_path))["benchmarks"]:
             "n": int(n),
             "engine": engine.lower(),
             "strategy": strategy,
-            "threads": 1,
             "wall_ms": wall_ms(b),
             "rows": int(b.get("tc_tuples", 0)),
         })
@@ -132,40 +122,10 @@ for b in json.load(open(tc_path))["benchmarks"]:
             "n": int(n),
             "engine": engine.lower(),
             "strategy": strategy,
-            "threads": 1,
             "wall_ms": wall_ms(b),
             "rows": int(b.get("tc_tuples", 0)),
         })
         continue
-    m = tc_steppath.fullmatch(b["name"])
-    if m:
-        workload, noninf, n, snapshot = m.groups()
-        strategy = "snapshot_steps" if snapshot == "1" else "undo_steps"
-        if noninf:
-            strategy += "_noninf"
-        records.append({
-            "workload": workload.lower(),
-            "n": int(n),
-            "engine": "logres",
-            "strategy": strategy,
-            "threads": 1,
-            "wall_ms": wall_ms(b),
-            "rows": int(b.get("tc_tuples", 0)),
-        })
-        continue
-    m = tc_threads.fullmatch(b["name"])
-    if not m:
-        continue
-    engine, n, threads = m.groups()
-    records.append({
-        "workload": "chain",
-        "n": int(n),
-        "engine": engine.lower(),
-        "strategy": "semi_naive",
-        "threads": int(threads),
-        "wall_ms": wall_ms(b),
-        "rows": int(b.get("tc_tuples", 0)),
-    })
 
 # bench_engines names: BM_B<k>_<Variant>/<n>
 eng_name = re.compile(r"BM_(B\d+)_(\w+)/(\d+)")
@@ -179,7 +139,6 @@ for b in json.load(open(engines_path))["benchmarks"]:
         "n": int(n),
         "engine": variant,
         "strategy": "",
-        "threads": 1,
         "wall_ms": wall_ms(b),
         "rows": int(b.get("tc_tuples", b.get("facts", 0))),
     })

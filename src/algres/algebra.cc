@@ -5,39 +5,8 @@
 #include <set>
 
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace logres::algres {
-
-namespace {
-
-// Below this many probe rows a parallel join is all coordination and no
-// work — the serial path runs instead even when a pool is supplied.
-constexpr size_t kMinProbeRowsPerChunk = 16;
-
-// Contiguous [begin, end) splits of `n` rows, at most `pool`-threads * 2
-// chunks, each at least kMinProbeRowsPerChunk rows. Empty when `n` is too
-// small to be worth fanning out (callers fall back to the serial path).
-std::vector<std::pair<size_t, size_t>> ProbeChunks(size_t n,
-                                                   const ThreadPool& pool) {
-  if (n < 2 * kMinProbeRowsPerChunk) return {};
-  size_t chunks =
-      std::min(pool.num_threads() * 2, n / kMinProbeRowsPerChunk);
-  if (chunks < 2) return {};
-  std::vector<std::pair<size_t, size_t>> out;
-  out.reserve(chunks);
-  size_t base = n / chunks;
-  size_t extra = n % chunks;
-  size_t lo = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t hi = lo + base + (c < extra ? 1 : 0);
-    out.emplace_back(lo, hi);
-    lo = hi;
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<Relation> Select(const Relation& input, const RowPredicate& pred) {
   Relation out(input.columns());
@@ -110,8 +79,7 @@ Result<Relation> Product(const Relation& left, const Relation& right) {
   return out;
 }
 
-Result<Relation> NaturalJoin(const Relation& left, const Relation& right,
-                             ThreadPool* pool) {
+Result<Relation> NaturalJoin(const Relation& left, const Relation& right) {
   std::vector<std::pair<std::string, std::string>> on;
   for (const std::string& c : left.columns()) {
     if (right.HasColumn(c)) on.emplace_back(c, c);
@@ -120,13 +88,12 @@ Result<Relation> NaturalJoin(const Relation& left, const Relation& right,
     // Disjoint headers: natural join degenerates to the product.
     return Product(left, right);
   }
-  return EquiJoin(left, right, on, pool);
+  return EquiJoin(left, right, on);
 }
 
 Result<Relation> EquiJoin(
     const Relation& left, const Relation& right,
-    const std::vector<std::pair<std::string, std::string>>& on,
-    ThreadPool* pool) {
+    const std::vector<std::pair<std::string, std::string>>& on) {
   std::vector<size_t> lkey, rkey;
   for (const auto& [lc, rc] : on) {
     LOGRES_ASSIGN_OR_RETURN(size_t li, left.ColumnIndex(lc));
@@ -151,44 +118,9 @@ Result<Relation> EquiJoin(
   // Build/probe hash join: the right side's secondary index on the join
   // key (cached on the relation, so repeated joins against an unchanged
   // build side — e.g. the edge relation across closure rounds — reuse it).
-  // The IndexOn call below is the only lazy mutation; it runs before any
-  // worker starts, so the parallel probes only ever read.
   const RelationIndex& index = right.IndexOn(rkey);
   Relation out(std::move(columns));
   const std::vector<Row>& lrows = left.rows();
-  if (pool != nullptr) {
-    auto ranges = ProbeChunks(lrows.size(), *pool);
-    if (!ranges.empty()) {
-      std::vector<std::vector<Row>> produced(ranges.size());
-      std::vector<ThreadPool::Task> tasks;
-      tasks.reserve(ranges.size());
-      for (size_t c = 0; c < ranges.size(); ++c) {
-        tasks.push_back([&, c]() -> Status {
-          Row key;
-          for (size_t r = ranges[c].first; r < ranges[c].second; ++r) {
-            const Row& l = lrows[r];
-            key.clear();
-            for (size_t i : lkey) key.push_back(l[i]);
-            right.ForEachMatch(index, key, [&](const Row& rr) {
-              Row row = l;
-              for (size_t i : rkeep) row.push_back(rr[i]);
-              produced[c].push_back(std::move(row));
-            });
-          }
-          return Status::OK();
-        });
-      }
-      LOGRES_RETURN_NOT_OK(pool->Run(std::move(tasks)));
-      // Chunk-order insertion == serial insertion order, duplicates and
-      // all, so downstream order-sensitive consumers see no difference.
-      for (std::vector<Row>& rows : produced) {
-        for (Row& row : rows) {
-          LOGRES_RETURN_NOT_OK(out.Insert(std::move(row)).status());
-        }
-      }
-      return out;
-    }
-  }
   Status status = Status::OK();
   Row key;
   for (const Row& l : lrows) {
@@ -216,7 +148,7 @@ namespace {
 // Shared machinery for semi/anti-joins: indexes the right side on the
 // shared columns and reports, per left row, whether a partner exists.
 Result<Relation> FilterByPartner(const Relation& left, const Relation& right,
-                                 bool keep_matched, ThreadPool* pool) {
+                                 bool keep_matched) {
   std::vector<size_t> lkey, rkey;
   for (size_t li = 0; li < left.columns().size(); ++li) {
     const std::string& c = left.columns()[li];
@@ -234,36 +166,6 @@ Result<Relation> FilterByPartner(const Relation& left, const Relation& right,
   const RelationIndex& index = right.IndexOn(rkey);
   Relation out(left.columns());
   const std::vector<Row>& lrows = left.rows();
-  if (pool != nullptr) {
-    auto ranges = ProbeChunks(lrows.size(), *pool);
-    if (!ranges.empty()) {
-      // Workers only compute the per-row matched flags; the surviving rows
-      // are inserted afterwards in row order (== serial order).
-      std::vector<char> matched(lrows.size(), 0);
-      std::vector<ThreadPool::Task> tasks;
-      tasks.reserve(ranges.size());
-      for (const auto& range : ranges) {
-        tasks.push_back([&, range]() -> Status {
-          Row key;
-          for (size_t r = range.first; r < range.second; ++r) {
-            key.clear();
-            for (size_t i : lkey) key.push_back(lrows[r][i]);
-            bool hit = false;
-            right.ForEachMatch(index, key, [&](const Row&) { hit = true; });
-            matched[r] = hit ? 1 : 0;
-          }
-          return Status::OK();
-        });
-      }
-      LOGRES_RETURN_NOT_OK(pool->Run(std::move(tasks)));
-      for (size_t r = 0; r < lrows.size(); ++r) {
-        if ((matched[r] != 0) == keep_matched) {
-          LOGRES_RETURN_NOT_OK(out.Insert(lrows[r]).status());
-        }
-      }
-      return out;
-    }
-  }
   Row key;
   for (const Row& l : lrows) {
     key.clear();
@@ -279,14 +181,12 @@ Result<Relation> FilterByPartner(const Relation& left, const Relation& right,
 
 }  // namespace
 
-Result<Relation> SemiJoin(const Relation& left, const Relation& right,
-                          ThreadPool* pool) {
-  return FilterByPartner(left, right, /*keep_matched=*/true, pool);
+Result<Relation> SemiJoin(const Relation& left, const Relation& right) {
+  return FilterByPartner(left, right, /*keep_matched=*/true);
 }
 
-Result<Relation> AntiJoin(const Relation& left, const Relation& right,
-                          ThreadPool* pool) {
-  return FilterByPartner(left, right, /*keep_matched=*/false, pool);
+Result<Relation> AntiJoin(const Relation& left, const Relation& right) {
+  return FilterByPartner(left, right, /*keep_matched=*/false);
 }
 
 Result<Relation> Divide(const Relation& dividend, const Relation& divisor) {

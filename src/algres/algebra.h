@@ -25,10 +25,6 @@
 #include "util/governor.h"
 #include "util/status.h"
 
-namespace logres {
-class ThreadPool;
-}  // namespace logres
-
 namespace logres::algres {
 
 /// \brief A row predicate for Select. Receives the row; column positions
@@ -56,22 +52,13 @@ Result<Relation> Rename(
 Result<Relation> Product(const Relation& left, const Relation& right);
 
 /// \brief ⋈: natural join on all shared column names (product if none).
-///
-/// A non-null \p pool partitions the probe phase: the build side's hash
-/// index is constructed serially, then contiguous chunks of the left
-/// side's rows probe it concurrently, and the per-chunk outputs are
-/// inserted in chunk order — exactly the serial insertion order, so the
-/// result (rows *and* storage order) is identical for every pool size.
-Result<Relation> NaturalJoin(const Relation& left, const Relation& right,
-                             ThreadPool* pool = nullptr);
+Result<Relation> NaturalJoin(const Relation& left, const Relation& right);
 
 /// \brief Equi-join on explicit column pairs (left name, right name).
-/// Right join columns are dropped from the result. See NaturalJoin for
-/// the \p pool contract.
+/// Right join columns are dropped from the result.
 Result<Relation> EquiJoin(
     const Relation& left, const Relation& right,
-    const std::vector<std::pair<std::string, std::string>>& on,
-    ThreadPool* pool = nullptr);
+    const std::vector<std::pair<std::string, std::string>>& on);
 
 /// \brief θ-join: product filtered by a predicate over the combined row
 /// (left columns first). Column names must be disjoint.
@@ -79,14 +66,11 @@ Result<Relation> ThetaJoin(const Relation& left, const Relation& right,
                            const RowPredicate& theta);
 
 /// \brief ⋉ (semi-join): left rows with at least one natural-join partner
-/// in right. See NaturalJoin for the \p pool contract.
-Result<Relation> SemiJoin(const Relation& left, const Relation& right,
-                          ThreadPool* pool = nullptr);
+/// in right.
+Result<Relation> SemiJoin(const Relation& left, const Relation& right);
 
 /// \brief ▷ (anti-join): left rows with no natural-join partner in right.
-/// See NaturalJoin for the \p pool contract.
-Result<Relation> AntiJoin(const Relation& left, const Relation& right,
-                          ThreadPool* pool = nullptr);
+Result<Relation> AntiJoin(const Relation& left, const Relation& right);
 
 /// \brief ÷ (division): rows of \p dividend (projected on its non-divisor
 /// columns) paired with *every* row of \p divisor. The divisor's columns

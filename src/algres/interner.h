@@ -24,21 +24,22 @@
 // allocation path. This is what keeps dumps byte-identical with
 // interning on or off.
 //
-// The table is sharded and shared_mutex-protected so the parallel
-// fixpoint's workers can intern concurrently; each shard is an
-// open-addressed linear-probe array with backward-shift deletion. Nodes
-// are refcounted by the Values holding them: when the last reference
-// dies, Rep's destructor unlinks the node from its shard and the memory
-// returns — the table holds weak references only (plus pinned
-// small-integer and boolean caches). The table itself is deliberately
-// leaked so destructors of static Values stay safe at process exit.
+// The table is process-wide, so it is sharded with a reader-writer lock
+// per shard: evaluations of separate Databases on separate threads intern
+// concurrently (DESIGN.md §9). Each shard is an open-addressed
+// linear-probe array with backward-shift deletion. Nodes are refcounted
+// by the Values holding them: when the last reference dies, Rep's
+// destructor unlinks the node from its shard and the memory returns —
+// the table holds weak references only (plus pinned small-integer and
+// boolean caches). The table itself is deliberately leaked so
+// destructors of static Values stay safe at process exit.
 //
 // Interning is controlled by a process-global flag (default on). The
 // engines scope it per evaluation from EvalOptions::intern_values, with
-// the off path retained as the differential reference — exactly like
-// EvalOptions::use_snapshot_steps. Disabling never invalidates existing
-// canonical nodes; interned and plain values mix freely and compare
-// correctly (the fast paths only fire when both sides are canonical).
+// the off path retained as the differential reference. Disabling never
+// invalidates existing canonical nodes; interned and plain values mix
+// freely and compare correctly (the fast paths only fire when both sides
+// are canonical).
 
 #ifndef LOGRES_ALGRES_INTERNER_H_
 #define LOGRES_ALGRES_INTERNER_H_

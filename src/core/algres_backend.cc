@@ -10,7 +10,6 @@
 #include "core/magic.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace logres {
 
@@ -277,8 +276,7 @@ Result<AlgresBackend> AlgresBackend::Compile(const Schema& schema,
 Result<Relation> AlgresBackend::EvalRule(const CompiledRule& rule,
                                          const RelationalDb& db,
                                          const RelationalDb* delta,
-                                         size_t delta_index,
-                                         ThreadPool* pool) const {
+                                         size_t delta_index) const {
   // Semi-naive early exit: when the delta literal's frontier relation is
   // empty, the whole join is empty — skip the per-literal select/project
   // pipeline over the full database (which dominates late fixpoint rounds,
@@ -396,7 +394,7 @@ Result<Relation> AlgresBackend::EvalRule(const CompiledRule& rule,
       bindings = std::move(current);
     } else {
       LOGRES_ASSIGN_OR_RETURN(bindings,
-                              algres::NaturalJoin(*bindings, current, pool));
+                              algres::NaturalJoin(*bindings, current));
     }
   }
   if (!bindings.has_value()) {
@@ -625,8 +623,7 @@ Result<Relation> AlgresBackend::EvalRule(const CompiledRule& rule,
 
 Result<bool> AlgresBackend::RunStratum(
     const std::vector<const CompiledRule*>& rules, RelationalDb* db,
-    AlgresStrategy strategy, ResourceGovernor* governor,
-    ThreadPool* pool) const {
+    AlgresStrategy strategy, ResourceGovernor* governor) const {
   auto total_rows = [&db]() {
     size_t rows = 0;
     for (const auto& [name, rel] : *db) {
@@ -667,7 +664,7 @@ Result<bool> AlgresBackend::RunStratum(
       bool changed = false;
       for (const CompiledRule* rule : rules) {
         LOGRES_ASSIGN_OR_RETURN(Relation derived,
-                                EvalRule(*rule, *db, nullptr, 0, pool));
+                                EvalRule(*rule, *db, nullptr, 0));
         Relation& target = db->at(rule->head_predicate);
         for (const Row& row : derived) {
           LOGRES_ASSIGN_OR_RETURN(bool inserted, target.Insert(row));
@@ -691,7 +688,7 @@ Result<bool> AlgresBackend::RunStratum(
         LOGRES_ASSIGN_OR_RETURN(
             Relation derived,
             EvalRule(*rule, *db, rule->literals.empty() ? nullptr : &delta,
-                     pos, pool));
+                     pos));
         const Relation& target = db->at(rule->head_predicate);
         for (const Row& row : derived) {
           if (!target.Contains(row)) {
@@ -721,7 +718,6 @@ Result<bool> AlgresBackend::RunStratum(
 Result<RelationalDb> AlgresBackend::RunRelational(RelationalDb db,
                                                   AlgresStrategy strategy,
                                                   const Budget& budget,
-                                                  size_t num_threads,
                                                   bool intern_values) const {
   // Interning mode for the whole run, like Evaluator::Run (values built
   // before entry — the EDB conversion — intern lazily as rows churn).
@@ -731,13 +727,6 @@ Result<RelationalDb> AlgresBackend::RunRelational(RelationalDb db,
     if (!db.count(name)) db.emplace(name, Relation(columns));
   }
   ResourceGovernor governor(budget);
-  size_t threads = ThreadPool::Resolve(num_threads);
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  if (threads > 1) {
-    pool_storage.emplace(threads);
-    pool = &*pool_storage;
-  }
   // Evaluate stratum by stratum so negated predicates are complete before
   // any rule reads them through an anti-join.
   for (int stratum = 0; stratum <= max_stratum_; ++stratum) {
@@ -749,8 +738,7 @@ Result<RelationalDb> AlgresBackend::RunRelational(RelationalDb db,
     }
     if (stratum_rules.empty()) continue;
     LOGRES_ASSIGN_OR_RETURN(
-        bool done,
-        RunStratum(stratum_rules, &db, strategy, &governor, pool));
+        bool done, RunStratum(stratum_rules, &db, strategy, &governor));
     (void)done;
   }
   return db;
@@ -759,7 +747,6 @@ Result<RelationalDb> AlgresBackend::RunRelational(RelationalDb db,
 Result<Instance> AlgresBackend::Run(const Instance& edb,
                                     AlgresStrategy strategy,
                                     const Budget& budget,
-                                    size_t num_threads,
                                     bool intern_values) const {
   // Scoped here as well so the instance<->relational conversions on both
   // sides of the fixpoint build canonical (or plain) values too.
@@ -767,8 +754,7 @@ Result<Instance> AlgresBackend::Run(const Instance& edb,
   LOGRES_ASSIGN_OR_RETURN(RelationalDb db,
                           InstanceToRelations(*schema_, edb));
   LOGRES_ASSIGN_OR_RETURN(db, RunRelational(std::move(db), strategy,
-                                            budget, num_threads,
-                                            intern_values));
+                                            budget, intern_values));
   return RelationsToInstance(*schema_, db);
 }
 
@@ -793,7 +779,7 @@ Result<std::vector<Bindings>> AlgresBackend::QueryGoal(
         LOGRES_ASSIGN_OR_RETURN(
             Instance demanded,
             backend->Run(seeded, strategy, options.budget,
-                         options.num_threads, options.intern_values));
+                         options.intern_values));
         if (stats != nullptr) {
           stats->magic_rules = mr.magic_rule_count;
           stats->demand_facts = CountMagicFacts(demanded);
@@ -825,8 +811,7 @@ Result<std::vector<Bindings>> AlgresBackend::QueryGoal(
                           Compile(effective_schema, program));
   LOGRES_ASSIGN_OR_RETURN(
       Instance instance,
-      backend.Run(edb, strategy, options.budget, options.num_threads,
-                  options.intern_values));
+      backend.Run(edb, strategy, options.budget, options.intern_values));
   if (stats != nullptr) {
     stats->facts = instance.TotalFacts();
     stats->goal_directed_fallback = std::move(fallback_reason);

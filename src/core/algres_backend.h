@@ -71,15 +71,12 @@ class AlgresBackend {
 
   /// \brief Computes the fixpoint over \p edb. The budget shares its
   /// defaults (and its divergence/cancellation semantics) with the direct
-  /// Evaluator's EvalOptions. \p num_threads partitions the compiled
-  /// joins' probe phases (1 = serial, 0 = one per hardware thread); the
-  /// result is identical for every thread count. \p intern_values scopes
-  /// the hash-consing interner over the run, mirroring
-  /// EvalOptions::intern_values (results identical either way).
+  /// Evaluator's EvalOptions. \p intern_values scopes the hash-consing
+  /// interner over the run, mirroring EvalOptions::intern_values (results
+  /// identical either way).
   Result<Instance> Run(const Instance& edb,
                        AlgresStrategy strategy = AlgresStrategy::kSemiNaive,
                        const Budget& budget = {},
-                       size_t num_threads = 1,
                        bool intern_values = true) const;
 
   /// \brief Relational entry point (used by benchmarks to skip instance
@@ -87,8 +84,7 @@ class AlgresBackend {
   Result<RelationalDb> RunRelational(
       RelationalDb db,
       AlgresStrategy strategy = AlgresStrategy::kSemiNaive,
-      const Budget& budget = {}, size_t num_threads = 1,
-      bool intern_values = true) const;
+      const Budget& budget = {}, bool intern_values = true) const;
 
   /// \brief Answers \p goal over (\p rules, \p edb) on this backend.
   /// When options.goal_directed is on, the magic-set rewrite
@@ -96,8 +92,8 @@ class AlgresBackend {
   /// the goal's demanded cone is materialized; the whole program is
   /// compiled when the rewrite refuses (reason recorded in
   /// stats->goal_directed_fallback) or its output leaves the compilable
-  /// fragment. The strategy follows options.semi_naive; budget, threads
-  /// and interning map to Run's parameters.
+  /// fragment. The strategy follows options.semi_naive; budget and
+  /// interning map to Run's parameters.
   static Result<std::vector<Bindings>> QueryGoal(
       const Schema& effective_schema,
       const std::vector<FunctionDecl>& functions,
@@ -142,13 +138,11 @@ class AlgresBackend {
   Result<algres::Relation> EvalRule(const CompiledRule& rule,
                                     const RelationalDb& db,
                                     const RelationalDb* delta,
-                                    size_t delta_index,
-                                    ThreadPool* pool) const;
+                                    size_t delta_index) const;
 
   Result<bool> RunStratum(const std::vector<const CompiledRule*>& rules,
                           RelationalDb* db, AlgresStrategy strategy,
-                          ResourceGovernor* governor,
-                          ThreadPool* pool) const;
+                          ResourceGovernor* governor) const;
 
   const Schema* schema_;
   std::vector<CompiledRule> rules_;

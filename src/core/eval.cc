@@ -8,7 +8,6 @@
 #include "core/undo_log.h"
 #include "util/failpoint.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace logres {
 
@@ -102,30 +101,6 @@ struct Delta {
     return add_objects.empty() && del_objects.empty() &&
            add_tuples.empty() && del_tuples.empty();
   }
-};
-
-// A worker's request for an invented oid (Definition 8). Workers never
-// touch the oid generator or the invention memo — they record the memo
-// key plus the head's provided fields, and the coordinator resolves the
-// requests in task order during the deterministic merge, which reproduces
-// the serial generator sequence exactly.
-struct InventionRequest {
-  // Position of the placeholder ClassFact in the task's add_objects.
-  size_t add_index = 0;
-  // Memo key: (rule index, serialized body valuation).
-  size_t rule_index = 0;
-  std::string bindings_key;
-  // Head fields already grounded by the worker; the o-value is assembled
-  // at merge time because the existing-object overlay needs the oid.
-  std::map<std::string, Value> provided;
-};
-
-// A contiguous shard [begin, end) of the delta literal's fact scan, used
-// to split one rule's semi-naive enumeration across workers while keeping
-// chunk-concatenation order equal to the serial scan order.
-struct ShardSpec {
-  size_t begin = 0;
-  size_t end = static_cast<size_t>(-1);
 };
 
 constexpr size_t kNoDeltaPos = static_cast<size_t>(-1);
@@ -335,20 +310,17 @@ class JoinContext {
   /// Enumerates every extension of `b` satisfying `lit` against the
   /// instance. `restrict_to` narrows a positive predicate literal's fact
   /// source (semi-naive delta); pass nullptr for the full instance.
-  /// `shard` (parallel evaluation only) limits a positive predicate
-  /// literal's scan to a contiguous slice of the source.
   Status ForEachMatch(const CheckedLiteral& lit, const Bindings& b,
                       const Instance* restrict_to,
                       const std::map<std::string, Type>& var_types,
-                      const Callback& cb,
-                      const ShardSpec* shard = nullptr) const {
+                      const Callback& cb) const {
     switch (lit.kind()) {
       case LiteralKind::kPredicate:
         if (!lit.negated()) {
           return ForEachPredicateMatch(*lit.pred, b,
                                        restrict_to ? *restrict_to
                                                    : instance_,
-                                       cb, shard);
+                                       cb);
         }
         return ForEachNegatedMatch(lit, b, var_types, cb);
       case LiteralKind::kCompare:
@@ -383,17 +355,13 @@ class JoinContext {
     return Instance::NormalizeForIndex(v);
   }
 
-  /// Positive predicate matching against `source`. A non-null `shard`
-  /// restricts the scan to ordinals [shard->begin, shard->end) of the
-  /// source's fact set and forces the scan path (index probes would
-  /// enumerate the whole source once per shard).
+  /// Positive predicate matching against `source`.
   Status ForEachPredicateMatch(const ResolvedPredicate& rp,
                                const Bindings& b, const Instance& source,
-                               const Callback& cb,
-                               const ShardSpec* shard = nullptr) const {
+                               const Callback& cb) const {
     if (rp.is_class) {
       // A bound self term pins the oid: skip the scan.
-      if (shard == nullptr && use_indexes_ && rp.self_term &&
+      if (use_indexes_ && rp.self_term &&
           rp.self_term->kind() == TermKind::kVariable) {
         auto it = b.find(rp.self_term->name());
         if (it != b.end()) {
@@ -408,7 +376,7 @@ class JoinContext {
       // A ground field narrows the class scan through a lazily built
       // field index (this is what keeps the Definition-7 invention check
       // from scanning the whole class per candidate valuation).
-      if (shard == nullptr && use_indexes_ && &source == &instance_) {
+      if (use_indexes_ && &source == &instance_) {
         std::optional<std::pair<std::string, Value>> probe =
             GroundProbe(rp, b);
         if (probe.has_value()) {
@@ -420,13 +388,7 @@ class JoinContext {
           return Status::OK();
         }
       }
-      size_t ordinal = 0;
       for (Oid oid : source.OidsOf(rp.name)) {
-        if (shard != nullptr) {
-          size_t i = ordinal++;
-          if (i < shard->begin) continue;
-          if (i >= shard->end) break;
-        }
         Bindings b2 = b;
         Value oid_value = Value::MakeOid(oid);
         if (rp.self_term) {
@@ -463,7 +425,7 @@ class JoinContext {
     // Associations: with a ground field available, probe a lazily built
     // hash index on (association, label) instead of scanning. Only the
     // full instance is indexed; semi-naive deltas are small scans.
-    if (shard == nullptr && use_indexes_ && &source == &instance_) {
+    if (use_indexes_ && &source == &instance_) {
       std::optional<std::pair<std::string, Value>> probe =
           GroundProbe(rp, b);
       if (probe.has_value()) {
@@ -475,13 +437,7 @@ class JoinContext {
         return Status::OK();
       }
     }
-    size_t ordinal = 0;
     for (const Value& tuple : source.TuplesOf(rp.name)) {
-      if (shard != nullptr) {
-        size_t i = ordinal++;
-        if (i < shard->begin) continue;
-        if (i >= shard->end) break;
-      }
       LOGRES_RETURN_NOT_OK(MatchAssocTuple(rp, b, tuple, cb));
     }
     return Status::OK();
@@ -880,15 +836,9 @@ std::vector<size_t> ScheduleBody(const CheckedRule& rule, size_t delta_pos) {
 // `delta`, at least one positive predicate literal is drawn from `delta`
 // (semi-naive). With `reorder`, literals execute in the ScheduleBody
 // order instead of source order (results identical; see ScheduleBody).
-// The parallel evaluator narrows the work: `only_pos` runs a single
-// delta-position choice instead of looping over all of them, and `shard`
-// restricts the delta literal's scan to a contiguous slice — valid only
-// when the delta literal executes first, which the task builder checks.
 Status EnumerateBody(const JoinContext& ctx, const CheckedRule& rule,
                      const Instance* delta,
-                     const JoinContext::Callback& cb, bool reorder = true,
-                     size_t only_pos = kNoDeltaPos,
-                     const ShardSpec* shard = nullptr) {
+                     const JoinContext::Callback& cb, bool reorder = true) {
   std::vector<size_t> positive_preds;
   for (size_t i = 0; i < rule.body.size(); ++i) {
     if (rule.body[i].kind() == LiteralKind::kPredicate &&
@@ -905,22 +855,15 @@ Status EnumerateBody(const JoinContext& ctx, const CheckedRule& rule,
     const CheckedLiteral& lit = rule.body[idx];
     const Instance* restrict_to =
         (delta != nullptr && idx == delta_pos) ? delta : nullptr;
-    const ShardSpec* lit_shard =
-        (k == 0 && idx == delta_pos) ? shard : nullptr;
     return ctx.ForEachMatch(lit, b, restrict_to, rule.var_types,
                             [&](const Bindings& b2) -> Status {
                               return join(k + 1, b2, delta_pos);
-                            },
-                            lit_shard);
+                            });
   };
 
   if (delta == nullptr || positive_preds.empty()) {
     if (reorder) order = ScheduleBody(rule, kNoDeltaPos);
     return join(0, Bindings{}, kNoDeltaPos);
-  }
-  if (only_pos != kNoDeltaPos) {
-    if (reorder) order = ScheduleBody(rule, only_pos);
-    return join(0, Bindings{}, only_pos);
   }
   for (size_t pos : positive_preds) {
     order.clear();
@@ -964,22 +907,17 @@ Value AssembleTuple(const std::vector<std::pair<std::string, Type>>& fields,
 
 class HeadFirer {
  public:
-  // With `deferred` set (parallel workers), oid invention is *requested*
-  // rather than performed: `gen`/`memo` may be null, a placeholder fact is
-  // pushed, and the coordinator resolves the request at merge time.
   HeadFirer(const Schema& schema, const CheckedProgram& program,
             const Instance& instance, OidGenerator* gen,
             std::map<std::pair<size_t, std::string>, Oid>* memo,
-            EvalStats* stats,
-            std::vector<InventionRequest>* deferred = nullptr)
+            EvalStats* stats)
       : schema_(schema),
         program_(program),
         instance_(instance),
         ctx_(schema, program, instance),
         gen_(gen),
         memo_(memo),
-        stats_(stats),
-        deferred_(deferred) {}
+        stats_(stats) {}
 
   Status Fire(const CheckedRule& rule, const Bindings& b, Delta* delta) {
     if (!rule.head.has_value()) return Status::OK();  // denial: no effect
@@ -1080,16 +1018,6 @@ class HeadFirer {
       // these bindings.
       LOGRES_ASSIGN_OR_RETURN(bool satisfied, ctx_.ExistsMatch(rp, b));
       if (satisfied) return Status::OK();
-      if (deferred_ != nullptr) {
-        // Parallel worker: request the oid instead of drawing one; the
-        // placeholder is patched during the deterministic merge.
-        deferred_->push_back(InventionRequest{delta->add_objects.size(),
-                                              rule.index,
-                                              SerializeBindings(b),
-                                              std::move(provided)});
-        delta->add_objects.push_back(ClassFact{rp.name, Oid{}, Value::Nil()});
-        return Status::OK();
-      }
       // Invented oid, memoized per (rule, body valuation): "once a rule
       // has been fired for a certain substitution and an oid has been
       // generated, that rule cannot generate any more oids for the same
@@ -1229,81 +1157,20 @@ class HeadFirer {
   OidGenerator* gen_;
   std::map<std::pair<size_t, std::string>, Oid>* memo_;
   EvalStats* stats_;
-  std::vector<InventionRequest>* deferred_;
 };
 
-// Applies VAR' = ((F ⊕ Δ+) − Δ−) ⊕ (F ∩ Δ+ ∩ Δ−) to produce the next
-// instance. Returns the delta of *newly added* facts (for semi-naive).
-Result<Instance> ApplyDelta(const Schema& schema, const Instance& F,
-                            const Delta& delta, Instance* next) {
-  Instance added;  // facts new in next relative to F
-  *next = F;
-
-  // F ⊕ Δ+ : additions; later o-values supersede earlier ones.
-  for (const ClassFact& fact : delta.add_objects) {
-    bool was_present = F.HasObject(fact.cls, fact.oid);
-    auto old_value = F.OValue(fact.oid);
-    LOGRES_RETURN_NOT_OK(
-        next->AdoptObject(schema, fact.cls, fact.oid, fact.ovalue));
-    if (!was_present ||
-        (old_value.ok() && !(old_value.value() == fact.ovalue))) {
-      LOGRES_RETURN_NOT_OK(
-          added.AdoptObject(schema, fact.cls, fact.oid, fact.ovalue));
-    }
-  }
-  for (const AssocFact& fact : delta.add_tuples) {
-    if (next->InsertTuple(fact.assoc, fact.tuple)) {
-      added.InsertTuple(fact.assoc, fact.tuple);
-    }
-  }
-
-  // − Δ−, except facts in F ∩ Δ+ ∩ Δ− which are re-added by the trailing
-  // ⊕ (the paper's both-added-and-deleted carve-out).
-  auto in_add_objects = [&](const ClassFact& fact) {
-    for (const ClassFact& a : delta.add_objects) {
-      if (a.cls == fact.cls && a.oid == fact.oid &&
-          a.ovalue == fact.ovalue) {
-        return true;
-      }
-    }
-    return false;
-  };
-  for (const ClassFact& fact : delta.del_objects) {
-    bool keep = F.HasObject(fact.cls, fact.oid) && in_add_objects(fact);
-    if (keep) continue;
-    LOGRES_RETURN_NOT_OK(next->RemoveObject(schema, fact.cls, fact.oid));
-  }
-  auto in_add_tuples = [&](const AssocFact& fact) {
-    for (const AssocFact& a : delta.add_tuples) {
-      if (a.assoc == fact.assoc && a.tuple == fact.tuple) return true;
-    }
-    return false;
-  };
-  for (const AssocFact& fact : delta.del_tuples) {
-    bool keep = F.TuplesOf(fact.assoc).count(fact.tuple) > 0 &&
-                in_add_tuples(fact);
-    if (keep) continue;
-    next->EraseTuple(fact.assoc, fact.tuple);
-    added.EraseTuple(fact.assoc, fact.tuple);
-  }
-  return added;
-}
-
 // In-place F ⊕ Δ+ for steps whose delta carries no deletions (the common
-// case for recursive closure workloads): mutates F directly instead of
-// copying the whole instance per step, and detects the fixpoint from the
-// *net* effect instead of a full-instance comparison. `changed` mirrors
-// ApplyDelta's `next == F` test exactly: class membership can only grow,
-// and an o-value rewritten and then restored within one step is not a
-// change. Returns the newly-added sub-instance for semi-naive. When
-// `undo` is non-null every mutation is recorded for rollback; the
-// net-change test itself needs no PreImageTracker because without
+// case for recursive closure workloads): mutates F directly, recording
+// every mutation into `undo`, and detects the fixpoint from the *net*
+// effect instead of a full-instance comparison. `changed` is false exactly
+// when F is unchanged: class membership can only grow, and an o-value
+// rewritten and then restored within one step is not a change. Without
 // deletions the pre-step queries reduce to the first-touch state read
-// here directly, so the undo path shares this branch at the same cost
-// as the historical one plus the record appends.
+// here directly, so no PreImageTracker is needed. Returns the
+// newly-added sub-instance for semi-naive.
 Result<Instance> ApplyDeltaInPlace(const Schema& schema, Instance* F,
                                    const Delta& delta, bool* changed,
-                                   UndoLog* undo = nullptr) {
+                                   UndoLog* undo) {
   Instance added;
   // Pre-step o-values of every touched oid, for net-change detection.
   std::map<Oid, std::optional<Value>> first_seen;
@@ -1344,19 +1211,13 @@ Result<Instance> ApplyDeltaInPlace(const Schema& schema, Instance* F,
 }
 
 // In-place VAR' = ((F ⊕ Δ+) − Δ−) ⊕ (F ∩ Δ+ ∩ Δ−): mutates F directly,
-// recording every elementary change into `undo`, instead of copying the
-// whole instance like ApplyDelta. The queries the algebra asks of the
-// *pre-step* F — was the object present, what was its o-value, is the
-// deleted fact in F ∩ Δ+ (the both-added-and-deleted carve-out) — are
-// answered by a PreImageTracker over the records appended so far, so the
-// result is byte-for-byte the ApplyDelta result (the differential suites
-// compare the two paths across engines and thread counts). On return
-// `*diff` holds the canonical net difference vs the pre-apply state:
-// empty exactly when ApplyDelta's `next == F` fixpoint test would hold.
-// Returns the newly-added sub-instance for semi-naive, assembled under
-// the same conditions as ApplyDelta. Applying on the coordinator after
-// the parallel merge keeps undo records in the serial task order, so
-// rollback and dumps stay byte-identical across thread counts.
+// recording every elementary change into `undo`. The queries the algebra
+// asks of the *pre-step* F — was the object present, what was its
+// o-value, is the deleted fact in F ∩ Δ+ (the both-added-and-deleted
+// carve-out) — are answered by a PreImageTracker over the records
+// appended so far. On return `*diff` holds the canonical net difference
+// vs the pre-apply state: empty exactly when the step left F unchanged
+// (the fixpoint). Returns the newly-added sub-instance for semi-naive.
 Result<Instance> ApplyDeltaUndo(const Schema& schema, Instance* F,
                                 const Delta& delta, UndoLog* undo,
                                 NetDiff* diff) {
@@ -1416,199 +1277,39 @@ Result<Instance> ApplyDeltaUndo(const Schema& schema, Instance* F,
   return added;
 }
 
-// One parallel task's private output: a Δ fragment plus local counters
-// and invention requests, merged by the coordinator in task order.
-struct TaskResult {
-  Delta delta;
-  EvalStats stats;
-  std::vector<InventionRequest> inventions;
-  int64_t micros = 0;
-  size_t rule_index = 0;
-};
-
-// Resolves a task's invention requests against the shared memo/generator.
-// Runs on the coordinator, in task order — i.e. in the serial
-// rule-then-valuation order — so the generator draws oids in exactly the
-// serial sequence.
-Status ResolveInventions(const Schema& schema, const Instance& instance,
-                         OidGenerator* gen,
-                         std::map<std::pair<size_t, std::string>, Oid>* memo,
-                         EvalStats* stats, TaskResult* task) {
-  for (InventionRequest& req : task->inventions) {
-    auto key = std::make_pair(req.rule_index, std::move(req.bindings_key));
-    Oid oid;
-    auto it = memo->find(key);
-    if (it != memo->end()) {
-      oid = it->second;
-    } else {
-      oid = gen->Next();
-      memo->emplace(std::move(key), oid);
-      stats->invented_oids++;
-    }
-    ClassFact& fact = task->delta.add_objects[req.add_index];
-    LOGRES_ASSIGN_OR_RETURN(auto fields, schema.EffectiveFields(fact.cls));
-    const Value* existing = nullptr;
-    Value existing_value;
-    auto ov = instance.OValue(oid);
-    if (ov.ok()) {
-      existing_value = ov.value();
-      existing = &existing_value;
-    }
-    fact.oid = oid;
-    fact.ovalue = AssembleTuple(fields, req.provided, existing);
-  }
-  return Status::OK();
-}
-
-// One fixpoint step's rule enumeration, producing `step_delta`. Serial
-// (pool == nullptr) runs exactly the historical loop. Parallel partitions
-// the work into tasks built in serial order — per rule for full
-// enumeration, per (rule, delta position[, frontier shard]) under
-// semi-naive — each producing a private Δ fragment; the coordinator then
-// concatenates the fragments in task order, which reproduces the serial
-// firing order (and thus the non-commutative ⊕ and the invented-oid
-// sequence) byte for byte.
+// One fixpoint step's rule enumeration, producing `step_delta` in
+// rule-then-valuation order (the order the non-commutative ⊕ and the
+// invented-oid sequence depend on). The governor's cancellation and
+// deadline are polled every 1024 firings, so an interrupt lands inside a
+// long step rather than only at the next step boundary.
 Status EvaluateStep(const Schema& schema, const CheckedProgram& program,
                     const std::vector<const CheckedRule*>& rules,
                     const Instance& instance, const Instance* restrict_to,
-                    const EvalOptions& options, ThreadPool* pool,
+                    const EvalOptions& options,
                     const ResourceGovernor* governor, OidGenerator* gen,
                     std::map<std::pair<size_t, std::string>, Oid>* memo,
                     EvalStats* stats, Delta* step_delta) {
-  auto add_rule_micros = [stats](size_t rule_index, int64_t micros) {
-    if (rule_index < stats->rule_micros.size()) {
-      stats->rule_micros[rule_index] += micros;
-    }
-  };
-
-  if (pool == nullptr) {
-    HeadFirer firer(schema, program, instance, gen, memo, stats);
-    JoinContext ctx(schema, program, instance, options.use_indexes);
-    for (const CheckedRule* rule : rules) {
-      if (!rule->head.has_value()) continue;  // denials checked at the end
-      auto start = std::chrono::steady_clock::now();
-      LOGRES_RETURN_NOT_OK(EnumerateBody(
-          ctx, *rule, restrict_to,
-          [&](const Bindings& b) -> Status {
-            return firer.Fire(*rule, b, step_delta);
-          },
-          options.reorder_literals));
-      add_rule_micros(rule->index,
-                      std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count());
-    }
-    return Status::OK();
-  }
-
-  // Task specs, in serial evaluation order.
-  struct StepTask {
-    const CheckedRule* rule = nullptr;
-    size_t only_pos = kNoDeltaPos;
-    ShardSpec shard;
-    bool sharded = false;
-  };
-  std::vector<StepTask> specs;
+  HeadFirer firer(schema, program, instance, gen, memo, stats);
+  JoinContext ctx(schema, program, instance, options.use_indexes);
+  size_t fired = 0;
   for (const CheckedRule* rule : rules) {
-    if (!rule->head.has_value()) continue;
-    if (restrict_to == nullptr) {
-      specs.push_back(StepTask{rule});
-      continue;
+    if (!rule->head.has_value()) continue;  // denials checked at the end
+    auto start = std::chrono::steady_clock::now();
+    LOGRES_RETURN_NOT_OK(EnumerateBody(
+        ctx, *rule, restrict_to,
+        [&](const Bindings& b) -> Status {
+          if ((++fired & 1023u) == 0) {
+            LOGRES_RETURN_NOT_OK(governor->CheckInterrupt());
+          }
+          return firer.Fire(*rule, b, step_delta);
+        },
+        options.reorder_literals));
+    if (rule->index < stats->rule_micros.size()) {
+      stats->rule_micros[rule->index] +=
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count();
     }
-    std::vector<size_t> positive_preds;
-    for (size_t i = 0; i < rule->body.size(); ++i) {
-      if (rule->body[i].kind() == LiteralKind::kPredicate &&
-          !rule->body[i].negated()) {
-        positive_preds.push_back(i);
-      }
-    }
-    if (positive_preds.empty()) {
-      specs.push_back(StepTask{rule});  // full enumeration, like serial
-      continue;
-    }
-    for (size_t pos : positive_preds) {
-      const ResolvedPredicate& rp = *rule->body[pos].pred;
-      size_t frontier = rp.is_class
-                            ? restrict_to->OidsOf(rp.name).size()
-                            : restrict_to->TuplesOf(rp.name).size();
-      if (frontier == 0) continue;  // empty delta source: no derivations
-      // The frontier scan can be sharded only when the delta literal
-      // executes first, so chunk concatenation equals the serial scan.
-      size_t first_lit = options.reorder_literals
-                             ? ScheduleBody(*rule, pos)[0]
-                             : 0;
-      bool shardable = first_lit == pos;
-      size_t shards = 1;
-      if (shardable) {
-        constexpr size_t kMinShardFacts = 4;
-        shards = std::min(pool->num_threads() * 2,
-                          std::max<size_t>(1, frontier / kMinShardFacts));
-      }
-      size_t base = frontier / shards;
-      size_t extra = frontier % shards;
-      size_t lo = 0;
-      for (size_t s = 0; s < shards; ++s) {
-        size_t len = base + (s < extra ? 1 : 0);
-        StepTask t;
-        t.rule = rule;
-        t.only_pos = pos;
-        t.shard = ShardSpec{lo, lo + len};
-        t.sharded = shardable;
-        specs.push_back(std::move(t));
-        lo += len;
-      }
-    }
-  }
-
-  std::vector<TaskResult> results(specs.size());
-  std::vector<ThreadPool::Task> tasks;
-  tasks.reserve(specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    tasks.push_back([&, i]() -> Status {
-      const StepTask& spec = specs[i];
-      TaskResult& out = results[i];
-      out.rule_index = spec.rule->index;
-      auto start = std::chrono::steady_clock::now();
-      JoinContext ctx(schema, program, instance, options.use_indexes);
-      HeadFirer firer(schema, program, instance, /*gen=*/nullptr,
-                      /*memo=*/nullptr, &out.stats, &out.inventions);
-      size_t fired = 0;
-      Status st = EnumerateBody(
-          ctx, *spec.rule, restrict_to,
-          [&](const Bindings& b) -> Status {
-            // Cooperative mid-task polling so cancellation and deadlines
-            // are honored inside long enumerations, not just between
-            // steps.
-            if ((++fired & 1023u) == 0) {
-              LOGRES_RETURN_NOT_OK(governor->CheckInterrupt());
-            }
-            return firer.Fire(*spec.rule, b, &out.delta);
-          },
-          options.reorder_literals, spec.only_pos,
-          spec.sharded ? &spec.shard : nullptr);
-      out.micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-      return st;
-    });
-  }
-  LOGRES_RETURN_NOT_OK(pool->Run(std::move(tasks), options.budget.cancel));
-
-  // Deterministic single-threaded merge in task order.
-  for (TaskResult& r : results) {
-    LOGRES_RETURN_NOT_OK(
-        ResolveInventions(schema, instance, gen, memo, stats, &r));
-    auto append = [](auto* dst, auto* src) {
-      dst->insert(dst->end(), std::make_move_iterator(src->begin()),
-                  std::make_move_iterator(src->end()));
-    };
-    append(&step_delta->add_objects, &r.delta.add_objects);
-    append(&step_delta->del_objects, &r.delta.del_objects);
-    append(&step_delta->add_tuples, &r.delta.add_tuples);
-    append(&step_delta->del_tuples, &r.delta.del_tuples);
-    stats->rule_firings += r.stats.rule_firings;
-    stats->deletions += r.stats.deletions;
-    add_rule_micros(r.rule_index, r.micros);
   }
   return Status::OK();
 }
@@ -1658,13 +1359,16 @@ bool StratumQualifiesForSemiNaive(
 
 Result<bool> Evaluator::RunStratum(
     const std::vector<const CheckedRule*>& rules, Instance* instance,
-    const EvalOptions& options, ResourceGovernor* governor,
-    ThreadPool* pool) {
+    const EvalOptions& options, ResourceGovernor* governor) {
   bool semi_naive =
       options.semi_naive && StratumQualifiesForSemiNaive(rules);
 
+  // Each step mutates the one live instance under a per-step undo log: no
+  // whole-instance copy, no whole-instance comparison. An empty net
+  // change is the fixpoint, and at that point the instance holds F
+  // unchanged — nothing to roll back.
   std::optional<Instance> delta;  // semi-naive frontier
-  UndoLog undo;                   // per-step log of the in-place path
+  UndoLog undo;
   for (;;) {
     LOGRES_RETURN_NOT_OK(governor->CheckStep());
     LOGRES_FAILPOINT("eval.step");
@@ -1673,65 +1377,28 @@ Result<bool> Evaluator::RunStratum(
     Delta step_delta;
     const Instance* restrict_to =
         (semi_naive && delta.has_value()) ? &*delta : nullptr;
-    LOGRES_RETURN_NOT_OK(EvaluateStep(
-        schema_, program_, rules, *instance, restrict_to, options, pool,
-        governor, gen_, &invention_memo_, &stats_, &step_delta));
+    LOGRES_RETURN_NOT_OK(EvaluateStep(schema_, program_, rules, *instance,
+                                      restrict_to, options, governor, gen_,
+                                      &invention_memo_, &stats_,
+                                      &step_delta));
 
-    if (!options.use_snapshot_steps) {
-      // Default path: mutate the one live instance under a per-step undo
-      // log; no whole-instance copy, no whole-instance comparison. The
-      // net diff being empty is exactly the old `next == F` test, and at
-      // that point the instance holds F unchanged — nothing to roll back.
-      undo.Clear();
-      LOGRES_FAILPOINT("eval.undo.apply");
-      if (step_delta.del_objects.empty() && step_delta.del_tuples.empty()) {
-        // Deletion-free step: the pre-image queries a deleting delta
-        // would need collapse into ApplyDeltaInPlace's first-touch
-        // reads, so the undo records are the only cost over the
-        // historical fast path.
-        bool changed = false;
-        LOGRES_ASSIGN_OR_RETURN(
-            Instance added,
-            ApplyDeltaInPlace(schema_, instance, step_delta, &changed,
-                              &undo));
-        if (!changed) return true;
-        LOGRES_RETURN_NOT_OK(governor->CheckFacts(instance->TotalFacts()));
-        LOGRES_RETURN_NOT_OK(CheckByteBudget(*instance, governor));
-        delta = std::move(added);
-        continue;
-      }
-      NetDiff net;
-      LOGRES_ASSIGN_OR_RETURN(
-          Instance added,
-          ApplyDeltaUndo(schema_, instance, step_delta, &undo, &net));
-      if (net.Empty()) return true;
-      LOGRES_RETURN_NOT_OK(governor->CheckFacts(instance->TotalFacts()));
-      LOGRES_RETURN_NOT_OK(CheckByteBudget(*instance, governor));
-      delta = std::move(added);
-      continue;
-    }
-
-    // Reference path (EvalOptions::use_snapshot_steps): the historical
-    // copy-based step, retained for the differential suites to compare
-    // the undo path against.
+    undo.Clear();
+    LOGRES_FAILPOINT("eval.undo.apply");
+    Instance added;
     if (step_delta.del_objects.empty() && step_delta.del_tuples.empty()) {
-      // Deletion-free step: apply in place, skipping the full-instance
-      // copy and comparison of the general path.
+      // Deletion-free step: the pre-image queries a deleting delta would
+      // need collapse into ApplyDeltaInPlace's first-touch reads.
       bool changed = false;
       LOGRES_ASSIGN_OR_RETURN(
-          Instance added,
-          ApplyDeltaInPlace(schema_, instance, step_delta, &changed));
+          added,
+          ApplyDeltaInPlace(schema_, instance, step_delta, &changed, &undo));
       if (!changed) return true;
-      LOGRES_RETURN_NOT_OK(governor->CheckFacts(instance->TotalFacts()));
-      LOGRES_RETURN_NOT_OK(CheckByteBudget(*instance, governor));
-      delta = std::move(added);
-      continue;
+    } else {
+      NetDiff net;
+      LOGRES_ASSIGN_OR_RETURN(
+          added, ApplyDeltaUndo(schema_, instance, step_delta, &undo, &net));
+      if (net.Empty()) return true;
     }
-    Instance next;
-    LOGRES_ASSIGN_OR_RETURN(
-        Instance added, ApplyDelta(schema_, *instance, step_delta, &next));
-    if (next == *instance) return true;
-    *instance = std::move(next);
     LOGRES_RETURN_NOT_OK(governor->CheckFacts(instance->TotalFacts()));
     LOGRES_RETURN_NOT_OK(CheckByteBudget(*instance, governor));
     delta = std::move(added);
@@ -1755,77 +1422,43 @@ Result<Instance> Evaluator::Run(const Instance& edb,
   // Steps consumed by per-stratum sub-governors (stratum_fraction mode),
   // which the shared governor never sees.
   size_t substratum_steps = 0;
-
-  size_t threads = ThreadPool::Resolve(options.num_threads);
-  stats_.threads = threads;
   stats_.rule_micros.assign(program_.rules.size(), 0);
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  if (threads > 1) {
-    pool_storage.emplace(threads);
-    pool = &*pool_storage;
-  }
 
   if (options.mode == EvalMode::kNonInflationary) {
-    // Replacement semantics: F_{i+1} = E ⊕ Δ+(F_i) − Δ−(F_i).
+    // Replacement semantics: F_{i+1} = E ⊕ Δ+(F_i) − Δ−(F_i). Instead of
+    // rebuilding a fresh copy of E per step, the live instance is *rolled
+    // back* to E by reverse-replaying the step's undo log (the
+    // non-inflationary retraction), then the new delta is applied in
+    // place. Termination: F_i and F_{i+1} are both E plus their logs' net
+    // diffs, and two instances grown from the same base are equal iff
+    // their canonical diffs are equal — so comparing diffs decides
+    // F_{i+1} == F_i without retaining F_i.
     std::vector<const CheckedRule*> all;
     for (const CheckedRule& rule : program_.rules) {
       all.push_back(&rule);
     }
-    if (!options.use_snapshot_steps) {
-      // Default path: instead of rebuilding a fresh copy of E per step,
-      // the live instance is *rolled back* to E by reverse-replaying the
-      // step's undo log (the non-inflationary retraction), then the new
-      // delta is applied in place. Termination: F_i and F_{i+1} are both
-      // E plus their logs' net diffs, and two instances grown from the
-      // same base are equal iff their canonical diffs are equal — so
-      // comparing diffs reproduces the old `next == F_i` test without
-      // retaining F_i.
-      UndoLog undo;
-      NetDiff prev;  // F_0 = E: the empty diff
-      for (;;) {
-        LOGRES_RETURN_NOT_OK(governor.CheckStep());
-        LOGRES_FAILPOINT("eval.step");
-        stats_.steps++;
-        Delta step_delta;
-        LOGRES_RETURN_NOT_OK(EvaluateStep(
-            schema_, program_, all, instance, /*restrict_to=*/nullptr,
-            options, pool, &governor, gen_, &invention_memo_, &stats_,
-            &step_delta));
-        LOGRES_FAILPOINT("eval.undo.rollback");
-        instance.RollbackTo(&undo, 0);  // F_i -> E
-        LOGRES_FAILPOINT("eval.undo.apply");
-        NetDiff net;
-        LOGRES_ASSIGN_OR_RETURN(
-            Instance added,
-            ApplyDeltaUndo(schema_, &instance, step_delta, &undo, &net));
-        (void)added;
-        if (net == prev) break;
-        prev = std::move(net);
-        LOGRES_RETURN_NOT_OK(governor.CheckFacts(instance.TotalFacts()));
-        LOGRES_RETURN_NOT_OK(CheckByteBudget(instance, &governor));
-      }
-    } else {
-      // Reference path: rebuild from a copy of E each step and compare
-      // whole instances (see EvalOptions::use_snapshot_steps).
-      for (;;) {
-        LOGRES_RETURN_NOT_OK(governor.CheckStep());
-        LOGRES_FAILPOINT("eval.step");
-        stats_.steps++;
-        Delta step_delta;
-        LOGRES_RETURN_NOT_OK(EvaluateStep(
-            schema_, program_, all, instance, /*restrict_to=*/nullptr,
-            options, pool, &governor, gen_, &invention_memo_, &stats_,
-            &step_delta));
-        Instance next;
-        LOGRES_ASSIGN_OR_RETURN(
-            Instance added, ApplyDelta(schema_, edb, step_delta, &next));
-        (void)added;
-        if (next == instance) break;
-        instance = std::move(next);
-        LOGRES_RETURN_NOT_OK(governor.CheckFacts(instance.TotalFacts()));
-        LOGRES_RETURN_NOT_OK(CheckByteBudget(instance, &governor));
-      }
+    UndoLog undo;
+    NetDiff prev;  // F_0 = E: the empty diff
+    for (;;) {
+      LOGRES_RETURN_NOT_OK(governor.CheckStep());
+      LOGRES_FAILPOINT("eval.step");
+      stats_.steps++;
+      Delta step_delta;
+      LOGRES_RETURN_NOT_OK(EvaluateStep(
+          schema_, program_, all, instance, /*restrict_to=*/nullptr, options,
+          &governor, gen_, &invention_memo_, &stats_, &step_delta));
+      LOGRES_FAILPOINT("eval.undo.rollback");
+      instance.RollbackTo(&undo, 0);  // F_i -> E
+      LOGRES_FAILPOINT("eval.undo.apply");
+      NetDiff net;
+      LOGRES_ASSIGN_OR_RETURN(
+          Instance added,
+          ApplyDeltaUndo(schema_, &instance, step_delta, &undo, &net));
+      (void)added;
+      if (net == prev) break;
+      prev = std::move(net);
+      LOGRES_RETURN_NOT_OK(governor.CheckFacts(instance.TotalFacts()));
+      LOGRES_RETURN_NOT_OK(CheckByteBudget(instance, &governor));
     }
   } else if (options.mode == EvalMode::kStratified &&
              program_.stratified) {
@@ -1847,7 +1480,7 @@ Result<Instance> Evaluator::Run(const Instance& edb,
         ResourceGovernor sub(
             options.budget.Substratum(options.stratum_fraction));
         Result<bool> done =
-            RunStratum(stratum_rules, &instance, options, &sub, pool);
+            RunStratum(stratum_rules, &instance, options, &sub);
         substratum_steps += sub.steps_used();
         if (!done.ok()) {
           return done.status().WithContext(StrCat("stratum ", s));
@@ -1855,8 +1488,7 @@ Result<Instance> Evaluator::Run(const Instance& edb,
       } else {
         LOGRES_ASSIGN_OR_RETURN(
             bool done,
-            RunStratum(stratum_rules, &instance, options, &governor,
-                       pool));
+            RunStratum(stratum_rules, &instance, options, &governor));
         (void)done;
       }
     }
@@ -1868,7 +1500,7 @@ Result<Instance> Evaluator::Run(const Instance& edb,
       all.push_back(&rule);
     }
     LOGRES_ASSIGN_OR_RETURN(
-        bool done, RunStratum(all, &instance, options, &governor, pool));
+        bool done, RunStratum(all, &instance, options, &governor));
     (void)done;
   }
 

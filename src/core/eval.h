@@ -59,15 +59,13 @@
 
 namespace logres {
 
-class ThreadPool;
-
 struct EvalOptions {
   EvalMode mode = EvalMode::kStratified;
   /// Resource limits and cancellation, shared with the ALGRES backend:
   /// budget.max_steps bounds one-step applications (kDivergence),
   /// budget.timeout / budget.max_facts bound wall-clock and state growth
-  /// (kResourceExhausted), budget.cancel is polled every step
-  /// (kCancelled).
+  /// (kResourceExhausted); budget.cancel (kCancelled) and the deadline
+  /// are polled every step and every 1024 rule firings within a step.
   Budget budget;
   /// Evaluate denial rules (passive constraints) after the fixpoint and
   /// fail with ConstraintViolation when one fires.
@@ -88,18 +86,12 @@ struct EvalOptions {
   /// slice (kDivergence, with the stratum in the error context) without
   /// starving later strata. 0 keeps the single shared governor.
   double stratum_fraction = 0;
-  /// Reference/ablation flag: apply each fixpoint step the historical way
-  /// — copy the whole instance, apply the delta to the copy, compare the
-  /// copies — instead of mutating one instance under an undo log. Results
-  /// are byte-identical either way (the differential suites prove it);
-  /// the copy path costs O(|instance|) per step.
-  bool use_snapshot_steps = false;
   /// Route Value construction through the hash-consing interner
   /// (algres/interner.h) for the duration of the evaluation: one
   /// canonical node per structurally-distinct real-free value, equality
   /// by pointer compare. Results are byte-identical either way (the
   /// differential suites prove it); off is the plain-allocation
-  /// reference path, like use_snapshot_steps.
+  /// reference path.
   bool intern_values = true;
   /// Goal-directed evaluation: when answering a goal with at least one
   /// bound (constant) argument, rewrite the program with magic sets
@@ -108,16 +100,8 @@ struct EvalOptions {
   /// identical — the rewrite falls back to whole-program evaluation
   /// (recording EvalStats::goal_directed_fallback) whenever it cannot
   /// prove that, e.g. when the rewrite would lose stratification. Off is
-  /// the whole-program reference path, like use_snapshot_steps.
+  /// the whole-program reference path.
   bool goal_directed = true;
-  /// Worker threads for the per-step valuation (1 = today's serial path,
-  /// 0 = one per hardware thread). The per-step work is partitioned by
-  /// rule — and, under semi-naive evaluation, by contiguous shards of the
-  /// delta frontier — with results merged single-threaded in
-  /// rule-then-valuation order, so the fixpoint (including invented oids
-  /// and the non-commutative ⊕ composition) is byte-identical for every
-  /// thread count. See DESIGN.md §9.
-  size_t num_threads = 1;
 };
 
 struct EvalStats {
@@ -136,9 +120,6 @@ struct EvalStats {
   size_t bytes = 0;
   /// Wall-clock time the evaluation consumed, in microseconds.
   int64_t elapsed_micros = 0;
-  /// Threads the evaluation ran with (EvalOptions::num_threads resolved;
-  /// 1 = serial).
-  size_t threads = 1;
   /// Interner observability (EvalOptions::intern_values; all 0 when
   /// interning was off): canonical nodes alive at the end of the run,
   /// constructions that found an existing node during the run, and bytes
@@ -160,9 +141,7 @@ struct EvalStats {
   double cone_fraction = 0;
   std::string goal_directed_fallback;
   /// Time spent enumerating/firing each rule, in microseconds, indexed by
-  /// the rule's position in the analyzed program. Under parallel
-  /// evaluation this sums the per-worker time of the rule's tasks, so it
-  /// reads as CPU time rather than wall time.
+  /// the rule's position in the analyzed program.
   std::vector<int64_t> rule_micros;
 };
 
@@ -205,7 +184,7 @@ class Evaluator {
 
   Result<bool> RunStratum(const std::vector<const CheckedRule*>& rules,
                           Instance* instance, const EvalOptions& options,
-                          ResourceGovernor* governor, ThreadPool* pool);
+                          ResourceGovernor* governor);
   /// Enforces Budget::max_bytes against the larger of the instance's
   /// logical footprint and the interner residency this evaluation added.
   Status CheckByteBudget(const Instance& instance,

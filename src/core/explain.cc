@@ -154,8 +154,8 @@ std::string ExplainStats(const EvalStats& stats) {
                 " invented_oids=", stats.invented_oids,
                 " deletions=", stats.deletions, " facts=", stats.facts,
                 stats.bytes != 0 ? StrCat(" bytes=", stats.bytes) : "",
-                " elapsed_us=", stats.elapsed_micros,
-                " threads=", stats.threads, interner, goal_directed);
+                " elapsed_us=", stats.elapsed_micros, interner,
+                goal_directed);
 }
 
 }  // namespace logres

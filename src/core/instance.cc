@@ -1,7 +1,6 @@
 #include "core/instance.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "core/undo_log.h"
 #include "util/string_util.h"
@@ -231,13 +230,7 @@ const Value& Instance::NormalizeForIndex(const Value& v) {
 const Instance::ValueIndex& Instance::AssocIndex(
     const std::string& assoc, const std::string& label) const {
   auto key = std::make_pair(assoc, label);
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    auto it = assoc_index_cache_.find(key);
-    if (it != assoc_index_cache_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(index_mu_);
-  auto it = assoc_index_cache_.find(key);  // raced build by another worker
+  auto it = assoc_index_cache_.find(key);
   if (it != assoc_index_cache_.end()) return it->second;
   ValueIndex index;
   const Value nil = Value::Nil();
@@ -252,13 +245,7 @@ const Instance::ValueIndex& Instance::AssocIndex(
 const Instance::OidIndex& Instance::ClassIndex(
     const std::string& cls, const std::string& label) const {
   auto key = std::make_pair(cls, label);
-  {
-    std::shared_lock<std::shared_mutex> lock(index_mu_);
-    auto it = class_index_cache_.find(key);
-    if (it != class_index_cache_.end()) return it->second;
-  }
-  std::unique_lock<std::shared_mutex> lock(index_mu_);
-  auto it = class_index_cache_.find(key);  // raced build by another worker
+  auto it = class_index_cache_.find(key);
   if (it != class_index_cache_.end()) return it->second;
   OidIndex index;
   const Value nil = Value::Nil();

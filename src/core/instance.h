@@ -20,7 +20,6 @@
 
 #include <map>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -44,11 +43,11 @@ class Instance {
   Instance() = default;
 
   // Index caches are rebuilt on demand and never copied: copies are for
-  // retained reference states (snapshot-step mode, test baselines), and
+  // retained states (an evaluation's starting point, test baselines), and
   // dragging cold caches along would double the copy for nothing. The
-  // fixpoint loop itself no longer copies per step — it mutates one
-  // instance under an UndoLog, so caches survive across steps and are
-  // invalidated per delta.
+  // fixpoint loop itself never copies per step — it mutates one instance
+  // under an UndoLog, so caches survive across steps and are invalidated
+  // per delta.
   Instance(const Instance& other)
       : class_oids_(other.class_oids_),
         ovalues_(other.ovalues_),
@@ -63,25 +62,8 @@ class Instance {
     }
     return *this;
   }
-  // Moves are hand-written because the index-cache mutex is not movable.
-  // They are only ever called from single-threaded contexts (the parallel
-  // step merge runs on the coordinator), so the caches move unlocked.
-  Instance(Instance&& other) noexcept
-      : class_oids_(std::move(other.class_oids_)),
-        ovalues_(std::move(other.ovalues_)),
-        associations_(std::move(other.associations_)),
-        assoc_index_cache_(std::move(other.assoc_index_cache_)),
-        class_index_cache_(std::move(other.class_index_cache_)) {}
-  Instance& operator=(Instance&& other) noexcept {
-    if (this != &other) {
-      class_oids_ = std::move(other.class_oids_);
-      ovalues_ = std::move(other.ovalues_);
-      associations_ = std::move(other.associations_);
-      assoc_index_cache_ = std::move(other.assoc_index_cache_);
-      class_index_cache_ = std::move(other.class_index_cache_);
-    }
-    return *this;
-  }
+  Instance(Instance&& other) noexcept = default;
+  Instance& operator=(Instance&& other) noexcept = default;
 
   // ---- Objects (pi, nu) ---------------------------------------------------
   //
@@ -230,12 +212,8 @@ class Instance {
 
   // Access-path caches (see "Indexed access paths" above). Mutable: they
   // are a view of the store, not part of instance identity — operator==
-  // and dumps ignore them. Lazy builds are serialized by index_mu_ so the
-  // parallel evaluator's workers can probe one shared instance; std::map
-  // node stability keeps the returned references valid while other keys
-  // are built. Mutators run single-threaded (coordinator only) and skip
-  // the lock.
-  mutable std::shared_mutex index_mu_;
+  // and dumps ignore them. std::map node stability keeps the returned
+  // references valid while other keys are built.
   mutable std::map<std::pair<std::string, std::string>, ValueIndex>
       assoc_index_cache_;
   mutable std::map<std::pair<std::string, std::string>, OidIndex>

@@ -1,16 +1,13 @@
 #include "datalog/datalog.h"
 
 #include <algorithm>
-#include <mutex>
 #include <optional>
 #include <queue>
-#include <shared_mutex>
 #include <unordered_map>
 #include <utility>
 
 #include "util/failpoint.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace logres::datalog {
 
@@ -200,11 +197,9 @@ const std::set<Fact>& FactsOf(const Database& db, const std::string& pred) {
 // multimap from the constant at that position to the fact. Fact pointers
 // stay valid under db insertion (std::set nodes are stable), but a stale
 // index misses new facts — the evaluation loop invalidates a predicate's
-// indexes whenever it inserts into that predicate. Lazy builds are
-// serialized by a shared mutex so parallel delta tasks can probe one
-// shared cache; std::map node stability keeps the returned references
-// valid while other keys are built. Invalidate runs coordinator-only,
-// between rounds.
+// indexes whenever it inserts into that predicate. std::map node
+// stability keeps the returned references valid while other keys are
+// built.
 class IndexCache {
  public:
   explicit IndexCache(const Database& db) : db_(db) {}
@@ -214,14 +209,8 @@ class IndexCache {
 
   const PositionIndex& At(const std::string& pred, size_t pos) {
     auto key = std::make_pair(pred, pos);
-    {
-      std::shared_lock lock(mu_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) return it->second;
-    }
-    std::unique_lock lock(mu_);
     auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;  // raced build by a peer
+    if (it != cache_.end()) return it->second;
     PositionIndex index;
     for (const Fact& f : FactsOf(db_, pred)) {
       if (pos < f.size()) index.emplace(f[pos], &f);
@@ -230,7 +219,6 @@ class IndexCache {
   }
 
   void Invalidate(const std::string& pred) {
-    std::unique_lock lock(mu_);
     auto it = cache_.lower_bound({pred, 0});
     while (it != cache_.end() && it->first.first == pred) {
       it = cache_.erase(it);
@@ -239,9 +227,11 @@ class IndexCache {
 
  private:
   const Database& db_;
-  std::shared_mutex mu_;
   std::map<std::pair<std::string, size_t>, PositionIndex> cache_;
 };
+
+// ScheduleLiterals' delta position when no literal reads the frontier.
+constexpr size_t kNoDeltaPos = static_cast<size_t>(-1);
 
 // Bound-first execution order for a rule body: negated literals run as
 // soon as they are ground (each is then a single lookup that prunes the
@@ -298,25 +288,12 @@ std::vector<size_t> ScheduleLiterals(const Rule& rule, size_t delta_pos) {
   return order;
 }
 
-constexpr size_t kAllChoices = static_cast<size_t>(-1);
-
 // Evaluates one rule against `db`; for semi-naive evaluation, at least one
 // positive body literal must match within `delta` (pass nullptr for
 // naive). Positive literals with a bound position probe `indexes` instead
 // of scanning their whole relation.
-//
-// `only_pos` / `delta_chunk` let the parallel evaluator split one rule's
-// semi-naive work into tasks: only_pos fires a single delta-literal choice
-// (instead of the union over all of them), and delta_chunk restricts the
-// delta literal's scan to the facts with ordinal in [first, second). Each
-// body valuation consumes exactly one delta fact at the chosen position,
-// so partitioning the delta facts partitions the valuations — the union of
-// the chunks' outputs equals the unchunked output, whatever depth the
-// schedule places the delta literal at.
 void FireRule(const Rule& rule, const Database& db, const Database* delta,
-              IndexCache* indexes, std::set<Fact>* out,
-              size_t only_pos = kAllChoices,
-              const std::pair<size_t, size_t>* delta_chunk = nullptr) {
+              IndexCache* indexes, std::set<Fact>* out) {
   // Choose which positive literal is forced into the delta (all choices).
   std::vector<size_t> positive_positions;
   for (size_t i = 0; i < rule.body.size(); ++i) {
@@ -372,26 +349,13 @@ void FireRule(const Rule& rule, const Database& db, const Database* delta,
     const std::set<Fact>& source = from_delta
                                        ? FactsOf(*delta, lit.predicate)
                                        : FactsOf(db, lit.predicate);
-    size_t ordinal = 0;
-    for (const Fact& fact : source) {
-      if (from_delta && delta_chunk != nullptr) {
-        size_t i = ordinal++;
-        if (i < delta_chunk->first) continue;
-        if (i >= delta_chunk->second) break;
-      }
-      try_fact(fact);
-    }
+    for (const Fact& fact : source) try_fact(fact);
   };
 
   if (delta == nullptr) {
-    order = ScheduleLiterals(rule, static_cast<size_t>(-1));
+    order = ScheduleLiterals(rule, kNoDeltaPos);
     Bindings bindings;
-    join(join, 0, bindings, static_cast<size_t>(-1));
-  } else if (only_pos != kAllChoices) {
-    // One task of a parallel round: a single delta-literal choice.
-    order = ScheduleLiterals(rule, only_pos);
-    Bindings bindings;
-    join(join, 0, bindings, only_pos);
+    join(join, 0, bindings, kNoDeltaPos);
   } else {
     // Semi-naive: union over choices of the delta literal, skipping
     // choices whose frontier relation is empty (the join is empty then).
@@ -402,9 +366,9 @@ void FireRule(const Rule& rule, const Database& db, const Database* delta,
       join(join, 0, bindings, pos);
     }
     if (positive_positions.empty()) {
-      order = ScheduleLiterals(rule, static_cast<size_t>(-1));
+      order = ScheduleLiterals(rule, kNoDeltaPos);
       Bindings bindings;
-      join(join, 0, bindings, static_cast<size_t>(-1));
+      join(join, 0, bindings, kNoDeltaPos);
     }
   }
 }
@@ -456,19 +420,6 @@ Result<Database> Evaluate(const Program& program, const EvalOptions& options) {
   }
 
   ResourceGovernor governor(options.budget);
-  // Naive evaluation stays serial even when threads were requested: its
-  // rounds apply rules cumulatively in order (rule 2 sees rule 1's facts
-  // from the same round), so per-rule parallel tasks would change the
-  // round structure — and with it the step count the budget is charged.
-  size_t threads = options.strategy == EvalStrategy::kSemiNaive
-                       ? ThreadPool::Resolve(options.num_threads)
-                       : 1;
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  if (threads > 1) {
-    pool_storage.emplace(threads);
-    pool = &*pool_storage;
-  }
 
   Database db = program.edb();
   IndexCache indexes(db);
@@ -512,78 +463,12 @@ Result<Database> Evaluate(const Program& program, const EvalOptions& options) {
         LOGRES_RETURN_NOT_OK(governor.CheckStep());
         LOGRES_FAILPOINT("datalog.step");
         Database next_delta;
-        if (pool == nullptr) {
-          for (const Rule* rule : stratum_rules) {
-            std::set<Fact> produced;
-            FireRule(*rule, db, frontier, &indexes, &produced);
-            for (const Fact& f : produced) {
-              if (!db[rule->head.predicate].count(f)) {
-                next_delta[rule->head.predicate].insert(f);
-              }
-            }
-          }
-        } else {
-          // One task per (rule, delta-literal choice, contiguous chunk of
-          // that choice's frontier). Outputs are sets, so the merge below
-          // is order-insensitive; iterating specs in build order merely
-          // keeps the pass deterministic to read. Rules without positive
-          // literals run their (delta-independent) full join as one task.
-          struct RoundTask {
-            const Rule* rule = nullptr;
-            size_t only_pos = kAllChoices;
-            std::pair<size_t, size_t> chunk{0, 0};
-            bool chunked = false;
-          };
-          std::vector<RoundTask> specs;
-          for (const Rule* rule : stratum_rules) {
-            std::vector<size_t> positive_positions;
-            for (size_t i = 0; i < rule->body.size(); ++i) {
-              if (!rule->body[i].negated) positive_positions.push_back(i);
-            }
-            if (positive_positions.empty()) {
-              specs.push_back(RoundTask{rule});
-              continue;
-            }
-            for (size_t pos : positive_positions) {
-              size_t frontier_size =
-                  FactsOf(*frontier, rule->body[pos].predicate).size();
-              if (frontier_size == 0) continue;
-              constexpr size_t kMinChunkFacts = 4;
-              size_t chunks = std::min(
-                  pool->num_threads() * 2,
-                  std::max<size_t>(1, frontier_size / kMinChunkFacts));
-              size_t base = frontier_size / chunks;
-              size_t extra = frontier_size % chunks;
-              size_t lo = 0;
-              for (size_t c = 0; c < chunks; ++c) {
-                size_t len = base + (c < extra ? 1 : 0);
-                specs.push_back(
-                    RoundTask{rule, pos, {lo, lo + len}, true});
-                lo += len;
-              }
-            }
-          }
-          std::vector<std::set<Fact>> produced(specs.size());
-          std::vector<ThreadPool::Task> tasks;
-          tasks.reserve(specs.size());
-          for (size_t i = 0; i < specs.size(); ++i) {
-            tasks.push_back([&, i]() -> Status {
-              const RoundTask& spec = specs[i];
-              if (spec.only_pos == kAllChoices && !spec.chunked) {
-                FireRule(*spec.rule, db, nullptr, &indexes, &produced[i]);
-              } else {
-                FireRule(*spec.rule, db, frontier, &indexes, &produced[i],
-                         spec.only_pos, spec.chunked ? &spec.chunk : nullptr);
-              }
-              return Status::OK();
-            });
-          }
-          LOGRES_RETURN_NOT_OK(
-              pool->Run(std::move(tasks), options.budget.cancel));
-          for (size_t i = 0; i < specs.size(); ++i) {
-            const std::string& head = specs[i].rule->head.predicate;
-            for (const Fact& f : produced[i]) {
-              if (!FactsOf(db, head).count(f)) next_delta[head].insert(f);
+        for (const Rule* rule : stratum_rules) {
+          std::set<Fact> produced;
+          FireRule(*rule, db, frontier, &indexes, &produced);
+          for (const Fact& f : produced) {
+            if (!db[rule->head.predicate].count(f)) {
+              next_delta[rule->head.predicate].insert(f);
             }
           }
         }
@@ -726,7 +611,7 @@ DatalogRewrite RewriteForGoal(const Program& program, const Literal& goal) {
     }
     Rule scratch;
     scratch.body = body;
-    for (size_t i : ScheduleLiterals(scratch, kAllChoices)) {
+    for (size_t i : ScheduleLiterals(scratch, kNoDeltaPos)) {
       const Literal& lit = body[i];
       if (idb.count(lit.predicate) > 0) {
         changed |=
@@ -782,7 +667,7 @@ DatalogRewrite RewriteForGoal(const Program& program, const Literal& goal) {
     Rule scratch;
     scratch.body = body;
     std::vector<Literal> prefix;
-    for (size_t i : ScheduleLiterals(scratch, kAllChoices)) {
+    for (size_t i : ScheduleLiterals(scratch, kNoDeltaPos)) {
       const Literal& lit = body[i];
       auto it = adorn.find(lit.predicate);
       if (it != adorn.end() && !it->second.full) {

@@ -144,13 +144,6 @@ enum class EvalStrategy { kNaive, kSemiNaive };
 /// evaluator's contract.
 struct EvalOptions {
   EvalStrategy strategy = EvalStrategy::kSemiNaive;
-  /// Worker threads for the semi-naive delta joins (1 = serial, 0 = one
-  /// per hardware thread). The delta relation is partitioned into
-  /// contiguous chunks per (rule, delta position); produced facts are
-  /// sets, so the merged fixpoint — and the per-round frontier, hence the
-  /// step count — is identical for every thread count. Naive evaluation
-  /// stays serial (its rounds apply rules cumulatively in order).
-  size_t num_threads = 1;
   /// Shared budget semantics with the other engines: step exhaustion is
   /// kDivergence (one step = one fixpoint round), deadline or fact-count
   /// breach is kResourceExhausted, cancellation is kCancelled.

@@ -99,10 +99,9 @@ TEST(ExplainTest, StatsRendering) {
   stats.deletions = 1;
   stats.facts = 40;
   stats.elapsed_micros = 1250;
-  stats.threads = 4;
   EXPECT_EQ(ExplainStats(stats),
             "steps=3 firings=17 invented_oids=2 deletions=1 facts=40 "
-            "elapsed_us=1250 threads=4");
+            "elapsed_us=1250");
 }
 
 }  // namespace

@@ -2,21 +2,31 @@
 // canonicalization, the pinned small-int cache, the plain-allocation off
 // mode and mixed-mode comparisons, real exclusion, refcounted release
 // returning memory, shard determinism under concurrent construction, and
-// the canonical invariant across undo-log rollback. The byte-identical
-// dump battery lives in random_program_test / parallel_test.
+// the canonical invariant across undo-log rollback. The ParallelDeterminism
+// fixtures check that every engine's fixpoint dumps byte-identically with
+// interning on and off, and when separate Databases evaluate on separate
+// threads at once through the shared table. The randomized dump battery
+// lives in random_program_test.
 
 #include "algres/interner.h"
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "algres/value.h"
+#include "core/algres_backend.h"
 #include "core/database.h"
+#include "core/dump.h"
 #include "core/instance.h"
+#include "core/parser.h"
+#include "core/typecheck.h"
 #include "core/undo_log.h"
+#include "datalog/datalog.h"
 #include "util/string_util.h"
 
 namespace logres {
@@ -228,6 +238,215 @@ TEST(Interner, EvalStatsSurfaceInternerCounters) {
   EXPECT_EQ(applied_off->stats.interner_nodes, 0u);
   EXPECT_EQ(applied_off->stats.interner_hits, 0u);
   EXPECT_EQ(applied_off->stats.interner_bytes, 0u);
+}
+
+// ---- Determinism across interning and concurrent databases -----------------
+//
+// Each engine has one step loop, whose Δ order is the serial
+// rule-then-valuation order; the fixpoint (invented oids, the
+// non-commutative o-value composition, head deletions included) must not
+// depend on how values are allocated. Each fixture runs serially with
+// interning on (the reference), serially with interning off, and on two
+// threads at once, each thread owning its Database while both intern into
+// the one process-wide table — the threading contract (DESIGN.md §9). All
+// dumps must be byte-identical.
+
+// Runs `run` on two threads at once and returns both outputs.
+std::array<std::string, 2> RunConcurrently(
+    const std::function<std::string()>& run) {
+  std::array<std::string, 2> out;
+  std::thread first([&] { out[0] = run(); });
+  std::thread second([&] { out[1] = run(); });
+  first.join();
+  second.join();
+  return out;
+}
+
+// Applies `module` to a fresh database built from `schema` + `populate`,
+// expecting success, and returns the canonical dump.
+std::string ApplyAndDump(const std::string& schema,
+                         const std::function<void(Database*)>& populate,
+                         const std::string& module, EvalMode mode,
+                         bool intern_values) {
+  auto db_result = Database::Create(schema);
+  EXPECT_TRUE(db_result.ok()) << db_result.status();
+  if (!db_result.ok()) return {};
+  Database db = std::move(db_result).value();
+  populate(&db);
+  EvalOptions options;
+  options.mode = mode;
+  options.intern_values = intern_values;
+  auto apply = db.ApplySource(module, ApplicationMode::kRIDV, options);
+  EXPECT_TRUE(apply.ok()) << apply.status() << " (intern=" << intern_values
+                          << ")";
+  return DumpDatabase(db);
+}
+
+void ExpectDeterministic(const std::string& schema,
+                         const std::function<void(Database*)>& populate,
+                         const std::string& module,
+                         EvalMode mode = EvalMode::kStratified) {
+  std::string reference = ApplyAndDump(schema, populate, module, mode, true);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(reference, ApplyAndDump(schema, populate, module, mode, false))
+      << "intern=0";
+  for (const std::string& dump : RunConcurrently([&] {
+         return ApplyAndDump(schema, populate, module, mode, true);
+       })) {
+    EXPECT_EQ(reference, dump) << "concurrent";
+  }
+}
+
+Value T2(int64_t a, int64_t b) {
+  return Value::MakeTuple({{"a", Value::Int(a)}, {"b", Value::Int(b)}});
+}
+
+void PopulateChain(Database* db, int n) {
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(db->InsertTuple("E", T2(i, i + 1)).ok());
+  }
+}
+
+void PopulateX(Database* db, const std::string& assoc, int n) {
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(
+        db->InsertTuple(assoc, Value::MakeTuple({{"x", Value::Int(i)}})).ok());
+  }
+}
+
+constexpr const char* kChainSchema =
+    "associations E = (a: integer, b: integer);"
+    "             TC = (a: integer, b: integer);";
+constexpr const char* kChainRules =
+    "rules tc(a: X, b: Y) <- e(a: X, b: Y)."
+    "      tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).";
+
+TEST(ParallelDeterminism, ChainTransitiveClosure) {
+  ExpectDeterministic(
+      kChainSchema, [](Database* db) { PopulateChain(db, 24); }, kChainRules);
+}
+
+TEST(ParallelDeterminism, InventedOidsAcrossSteps) {
+  // Invented oids are drawn from the database's own generator in firing
+  // order, so the oid *numbers* in the dump must match the reference
+  // exactly. The counter rule invents a fresh object per step; the
+  // per-fact rule invents many within one step.
+  ExpectDeterministic(
+      "classes OBJ = (x: integer); NODE = (x: integer);"
+      "associations S = (x: integer);",
+      [](Database* db) { PopulateX(db, "S", 12); },
+      "rules obj(self O, x: X) <- s(x: X)."
+      "      node(self N, x: 0) <- s(x: 0)."
+      "      node(self N, x: Y) <- node(self M, x: X), Y = X + 1, X < 8.");
+}
+
+TEST(ParallelDeterminism, HeadDeletionsAndOValueRewrites) {
+  // Head negation produces Δ− facts and o-value rewrites ride on the
+  // non-commutative composition.
+  ExpectDeterministic(
+      "associations P = (x: integer); S = (x: integer);",
+      [](Database* db) {
+        PopulateX(db, "S", 6);
+        PopulateX(db, "P", 6);
+      },
+      "rules p(x: Y) <- s(x: X), Y = X + 10."
+      "      not p(x: X) <- s(x: X), X > 2.");
+}
+
+TEST(ParallelDeterminism, StratifiedNegation) {
+  ExpectDeterministic(
+      "associations E = (a: integer, b: integer);"
+      "             TC = (a: integer, b: integer);"
+      "             GAP = (a: integer, b: integer);",
+      [](Database* db) { PopulateChain(db, 12); },
+      "rules tc(a: X, b: Y) <- e(a: X, b: Y)."
+      "      tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z)."
+      "      gap(a: X, b: Y) <- e(a: X, b: X1), e(a: Y1, b: Y),"
+      "                         not tc(a: X, b: Y).");
+}
+
+TEST(ParallelDeterminism, NonInflationaryMode) {
+  ExpectDeterministic(
+      "associations P = (x: integer); Q = (x: integer);",
+      [](Database* db) { PopulateX(db, "P", 8); },
+      "rules q(x: Y) <- p(x: X), Y = X * 2.", EvalMode::kNonInflationary);
+}
+
+TEST(ParallelDeterminism, AlgresBackendSweep) {
+  // Each run owns its Database and compiled backend.
+  auto run = [](bool intern_values) -> std::string {
+    auto db = Database::Create(kChainSchema);
+    EXPECT_TRUE(db.ok()) << db.status();
+    if (!db.ok()) return {};
+    PopulateChain(&*db, 40);
+    auto unit = Parse(kChainRules);
+    EXPECT_TRUE(unit.ok()) << unit.status();
+    if (!unit.ok()) return {};
+    auto program = Typecheck(db->schema(), {}, unit->rules);
+    EXPECT_TRUE(program.ok()) << program.status();
+    if (!program.ok()) return {};
+    auto backend = AlgresBackend::Compile(db->schema(), *program);
+    EXPECT_TRUE(backend.ok()) << backend.status();
+    if (!backend.ok()) return {};
+    auto out = backend->Run(db->edb(), AlgresStrategy::kSemiNaive, Budget{},
+                            intern_values);
+    EXPECT_TRUE(out.ok()) << out.status();
+    return out.ok() ? out->ToString() : std::string();
+  };
+  std::string reference = run(true);
+  ASSERT_FALSE(reference.empty());
+  EXPECT_EQ(reference, run(false)) << "intern=0";
+  for (const std::string& dump : RunConcurrently([&] { return run(true); })) {
+    EXPECT_EQ(reference, dump) << "concurrent";
+  }
+}
+
+TEST(ParallelDeterminism, DatalogEngineSweep) {
+  // Each run owns its Program (the flat engine does not intern).
+  auto run = []() -> std::string {
+    datalog::Program program;
+    for (int i = 0; i < 48; ++i) {
+      EXPECT_TRUE(program
+                      .AddFact("e", {datalog::Constant::Int(i),
+                                     datalog::Constant::Int(i + 1)})
+                      .ok());
+    }
+    using datalog::Literal;
+    using datalog::Term;
+    EXPECT_TRUE(program
+                    .AddRule(datalog::Rule{
+                        Literal{"tc", {Term::Var("X"), Term::Var("Y")}, false},
+                        {Literal{"e", {Term::Var("X"), Term::Var("Y")},
+                                 false}}})
+                    .ok());
+    EXPECT_TRUE(
+        program
+            .AddRule(datalog::Rule{
+                Literal{"tc", {Term::Var("X"), Term::Var("Z")}, false},
+                {Literal{"tc", {Term::Var("X"), Term::Var("Y")}, false},
+                 Literal{"e", {Term::Var("Y"), Term::Var("Z")}, false}}})
+            .ok());
+    auto out = datalog::Evaluate(program);
+    EXPECT_TRUE(out.ok()) << out.status();
+    if (!out.ok()) return {};
+    std::string dump;
+    for (const auto& [pred, facts] : *out) {
+      for (const datalog::Fact& fact : facts) {
+        dump += pred;
+        for (const datalog::Constant& c : fact) {
+          dump += ' ';
+          dump += std::to_string(c.int_value());
+        }
+        dump += '\n';
+      }
+    }
+    return dump;
+  };
+  std::string reference = run();
+  ASSERT_FALSE(reference.empty());
+  for (const std::string& dump : RunConcurrently(run)) {
+    EXPECT_EQ(reference, dump) << "concurrent";
+  }
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Differential testing: randomly generated stratified flat programs are
 // evaluated by the LOGRES engine, by the ALGRES-compiled backend, and by
 // the independent flat Datalog baseline; all three must derive exactly
-// the same facts — serially and with a worker pool. This cross-checks the
-// whole pipeline (parser, type checker, scheduler, fixpoint, negation,
-// semi-naive optimization, parallel partitioning) against implementations
-// with completely different architectures. A second suite checks that the
+// the same facts, with the value interner on and off. This cross-checks
+// the whole pipeline (parser, type checker, scheduler, fixpoint, negation,
+// semi-naive optimization) against implementations with completely
+// different architectures. A second suite checks that the
 // three engines also *fail* identically: the same budget produces the
 // same kDivergence / kResourceExhausted classification everywhere.
 
@@ -14,7 +14,6 @@
 #include <random>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "core/algres_backend.h"
@@ -167,83 +166,53 @@ TEST_P(DifferentialProperty, ThreeEnginesAgree) {
                           {"f2", Value::Int(fact[2])}})).ok());
   }
 
-  // Engines 1b/2: direct evaluator with 4 workers and the ALGRES-compiled
-  // backend run against the pre-application state.
+  // Engines 1b/2: the direct evaluator and the ALGRES-compiled backend
+  // run against the pre-application state.
   auto unit = Parse(gen.logres_rules);
   ASSERT_TRUE(unit.ok()) << unit.status() << "\n" << gen.logres_rules;
   auto program = Typecheck(db.schema(), {}, unit->rules);
   ASSERT_TRUE(program.ok()) << program.status();
   Instance edb = db.edb();
 
-  OidGenerator gen_parallel;
-  Evaluator parallel_eval(db.schema(), *program, &gen_parallel);
-  EvalOptions four_threads;
-  four_threads.num_threads = 4;
-  auto direct_parallel = parallel_eval.Run(edb, four_threads);
-  ASSERT_TRUE(direct_parallel.ok()) << direct_parallel.status();
-  EXPECT_EQ(parallel_eval.stats().threads, 4u);
-
-  // Engine 1c: the retained reference paths — copy-per-step
-  // (use_snapshot_steps) and plain allocation (intern_values off) — must
-  // produce byte-identical instances to the default undo-log + interned
-  // path, serial and at 4 threads.
-  std::map<std::tuple<bool, bool, size_t>, std::string> direct_dumps;
-  direct_dumps[{true, false, 4}] = direct_parallel->ToString();
+  // Engine 1b: the direct evaluator with interning on (the default) and
+  // off (the plain-allocation reference path) must produce byte-identical
+  // instances.
+  std::map<bool, Instance> direct;
   for (bool intern : {true, false}) {
-    for (bool snapshot_steps : {false, true}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        if (intern && !snapshot_steps && threads == 4) continue;  // above
-        OidGenerator g;
-        Evaluator e(db.schema(), *program, &g);
-        EvalOptions o;
-        o.intern_values = intern;
-        o.use_snapshot_steps = snapshot_steps;
-        o.num_threads = threads;
-        auto run = e.Run(edb, o);
-        ASSERT_TRUE(run.ok()) << run.status() << "\n" << gen.logres_rules;
-        direct_dumps[{intern, snapshot_steps, threads}] = run->ToString();
-      }
-    }
+    OidGenerator g;
+    Evaluator e(db.schema(), *program, &g);
+    EvalOptions o;
+    o.intern_values = intern;
+    auto run = e.Run(edb, o);
+    ASSERT_TRUE(run.ok()) << run.status() << "\n" << gen.logres_rules;
+    direct.emplace(intern, std::move(run).value());
   }
-  for (const auto& [key, dump] : direct_dumps) {
-    EXPECT_EQ(dump, direct_dumps.begin()->second)
-        << "intern=" << std::get<0>(key)
-        << " snapshot_steps=" << std::get<1>(key)
-        << " threads=" << std::get<2>(key) << "\n" << gen.logres_rules;
-  }
+  EXPECT_EQ(direct.at(true).ToString(), direct.at(false).ToString())
+      << gen.logres_rules;
 
   auto backend = AlgresBackend::Compile(db.schema(), *program);
   ASSERT_TRUE(backend.ok()) << backend.status();
   auto compiled = backend->Run(edb);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
-  auto compiled_parallel =
-      backend->Run(edb, AlgresStrategy::kSemiNaive, Budget{}, 4);
-  ASSERT_TRUE(compiled_parallel.ok()) << compiled_parallel.status();
   // Compiled backend with interning off is byte-identical too.
   auto compiled_plain = backend->Run(edb, AlgresStrategy::kSemiNaive,
-                                     Budget{}, 1, /*intern_values=*/false);
+                                     Budget{}, /*intern_values=*/false);
   ASSERT_TRUE(compiled_plain.ok()) << compiled_plain.status();
   EXPECT_EQ(compiled->ToString(), compiled_plain->ToString())
       << gen.logres_rules;
 
-  // Engine 1: direct evaluator (serial) through the full Apply pipeline.
+  // Engine 1: direct evaluator through the full Apply pipeline.
   auto apply = db.ApplySource(gen.logres_rules, ApplicationMode::kRIDV);
   ASSERT_TRUE(apply.ok()) << apply.status() << "\n" << gen.logres_rules;
 
-  // Engine 3: the flat Datalog baseline, serial and with 4 workers.
+  // Engine 3: the flat Datalog baseline.
   auto baseline = datalog::Evaluate(gen.baseline);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
-  datalog::EvalOptions dl_parallel;
-  dl_parallel.num_threads = 4;
-  auto baseline_parallel = datalog::Evaluate(gen.baseline, dl_parallel);
-  ASSERT_TRUE(baseline_parallel.ok()) << baseline_parallel.status();
 
   FactSet expected = LogresFacts(db.edb());
   EXPECT_EQ(expected, BaselineFacts(*baseline)) << gen.logres_rules;
-  EXPECT_EQ(expected, BaselineFacts(*baseline_parallel)) << gen.logres_rules;
-  EXPECT_EQ(expected, LogresFacts(*direct_parallel)) << gen.logres_rules;
   EXPECT_EQ(expected, LogresFacts(*compiled)) << gen.logres_rules;
-  EXPECT_EQ(expected, LogresFacts(*compiled_parallel)) << gen.logres_rules;
+  EXPECT_EQ(expected, LogresFacts(direct.at(true))) << gen.logres_rules;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialProperty,
@@ -253,9 +222,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialProperty,
 //
 // For the same random programs, point queries with randomized adornments
 // (all-bound, one bound field, all-free) must answer identically with the
-// magic-set rewrite on and off, on every engine, thread count, and
-// interner setting — and the LOGRES answers must match the flat baseline's
-// fact-for-fact.
+// magic-set rewrite on and off, on every engine and interner setting —
+// and the LOGRES answers must match the flat baseline's fact-for-fact.
 
 class PointQueryDifferential : public ::testing::TestWithParam<unsigned> {};
 
@@ -297,28 +265,23 @@ TEST_P(PointQueryDifferential, GoalDirectedMatchesWholeProgram) {
 
     std::optional<std::vector<Bindings>> reference;
     for (bool gd : {true, false}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        for (bool intern : {true, false}) {
-          EvalOptions options;
-          options.goal_directed = gd;
-          options.num_threads = threads;
-          options.intern_values = intern;
-          SCOPED_TRACE(testing::Message()
-                       << "gd=" << gd << " threads=" << threads
-                       << " intern=" << intern);
-          auto direct = db.Query(goal_text, options);
-          ASSERT_TRUE(direct.ok()) << direct.status() << "\n" << source;
-          if (!reference.has_value()) {
-            reference = *direct;
-          } else {
-            EXPECT_EQ(*direct, *reference) << source;
-          }
-          auto compiled = AlgresBackend::QueryGoal(
-              db.schema(), db.functions(), db.rules(), db.edb(), *goal,
-              options);
-          ASSERT_TRUE(compiled.ok()) << compiled.status() << "\n" << source;
-          EXPECT_EQ(*compiled, *reference) << source;
+      for (bool intern : {true, false}) {
+        EvalOptions options;
+        options.goal_directed = gd;
+        options.intern_values = intern;
+        SCOPED_TRACE(testing::Message() << "gd=" << gd << " intern=" << intern);
+        auto direct = db.Query(goal_text, options);
+        ASSERT_TRUE(direct.ok()) << direct.status() << "\n" << source;
+        if (!reference.has_value()) {
+          reference = *direct;
+        } else {
+          EXPECT_EQ(*direct, *reference) << source;
         }
+        auto compiled = AlgresBackend::QueryGoal(
+            db.schema(), db.functions(), db.rules(), db.edb(), *goal,
+            options);
+        ASSERT_TRUE(compiled.ok()) << compiled.status() << "\n" << source;
+        EXPECT_EQ(*compiled, *reference) << source;
       }
     }
 
@@ -348,19 +311,15 @@ TEST_P(PointQueryDifferential, GoalDirectedMatchesWholeProgram) {
          c2 ? Term::Int(*c2) : Term::Var("QY")},
         false};
     for (bool gd : {true, false}) {
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        datalog::EvalOptions dl;
-        dl.goal_directed = gd;
-        dl.num_threads = threads;
-        auto flat = datalog::Query(gen.baseline, dl_goal, dl);
-        ASSERT_TRUE(flat.ok()) << flat.status() << "\n" << source;
-        std::set<std::pair<int64_t, int64_t>> flat_facts;
-        for (const auto& fact : *flat) {
-          flat_facts.emplace(fact[0].int_value(), fact[1].int_value());
-        }
-        EXPECT_EQ(flat_facts, logres_facts)
-            << "gd=" << gd << " threads=" << threads << "\n" << source;
+      datalog::EvalOptions dl;
+      dl.goal_directed = gd;
+      auto flat = datalog::Query(gen.baseline, dl_goal, dl);
+      ASSERT_TRUE(flat.ok()) << flat.status() << "\n" << source;
+      std::set<std::pair<int64_t, int64_t>> flat_facts;
+      for (const auto& fact : *flat) {
+        flat_facts.emplace(fact[0].int_value(), fact[1].int_value());
       }
+      EXPECT_EQ(flat_facts, logres_facts) << "gd=" << gd << "\n" << source;
     }
   }
 }
@@ -372,7 +331,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PointQueryDifferential,
 //
 // The three engines share the governor contract: step exhaustion is
 // kDivergence, deadline or fact-ceiling breach is kResourceExhausted —
-// whatever the engine and whatever the thread count.
+// whatever the engine and whatever the interner setting.
 
 struct ChainEngines {
   Database db;
@@ -426,51 +385,37 @@ Result<ChainEngines> MakeChainEngines(int n) {
                       std::move(baseline)};
 }
 
-// Runs all three engines (direct at 1 and 4 threads, compiled backend,
-// Datalog at 1 and 4 threads) under `budget` and checks every one fails
-// with `expected`.
+// Runs all three engines (direct and compiled backend with the interner
+// on and off, and Datalog) under `budget` and checks every one fails with
+// `expected`.
 void ExpectClassification(const ChainEngines& engines, const Budget& budget,
                           StatusCode expected) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    // All step-application paths classify identically: the undo-log
-    // default and the copy-per-step reference, with and without the
-    // value interner.
-    for (bool snapshot_steps : {false, true}) {
-      for (bool intern : {true, false}) {
-        OidGenerator gen;
-        Evaluator evaluator(engines.schema, engines.program, &gen);
-        EvalOptions options;
-        options.budget = budget;
-        options.num_threads = threads;
-        options.use_snapshot_steps = snapshot_steps;
-        options.intern_values = intern;
-        auto direct = evaluator.Run(engines.db.edb(), options);
-        ASSERT_FALSE(direct.ok()) << "direct, threads=" << threads
-                                  << ", snapshot=" << snapshot_steps
-                                  << ", intern=" << intern;
-        EXPECT_EQ(direct.status().code(), expected)
-            << "direct, threads=" << threads
-            << ", snapshot=" << snapshot_steps << ", intern=" << intern
-            << ": " << direct.status();
-      }
-    }
+  auto backend = AlgresBackend::Compile(engines.schema, engines.program);
+  ASSERT_TRUE(backend.ok()) << backend.status();
+  for (bool intern : {true, false}) {
+    OidGenerator gen;
+    Evaluator evaluator(engines.schema, engines.program, &gen);
+    EvalOptions options;
+    options.budget = budget;
+    options.intern_values = intern;
+    auto direct = evaluator.Run(engines.db.edb(), options);
+    ASSERT_FALSE(direct.ok()) << "direct, intern=" << intern;
+    EXPECT_EQ(direct.status().code(), expected)
+        << "direct, intern=" << intern << ": " << direct.status();
 
-    datalog::EvalOptions dl;
-    dl.budget = budget;
-    dl.num_threads = threads;
-    auto baseline = datalog::Evaluate(engines.baseline, dl);
-    ASSERT_FALSE(baseline.ok()) << "datalog, threads=" << threads;
-    EXPECT_EQ(baseline.status().code(), expected)
-        << "datalog, threads=" << threads << ": " << baseline.status();
-
-    auto backend = AlgresBackend::Compile(engines.schema, engines.program);
-    ASSERT_TRUE(backend.ok()) << backend.status();
-    auto compiled = backend->Run(engines.db.edb(),
-                                 AlgresStrategy::kSemiNaive, budget, threads);
-    ASSERT_FALSE(compiled.ok()) << "algres, threads=" << threads;
+    auto compiled = backend->Run(engines.db.edb(), AlgresStrategy::kSemiNaive,
+                                 budget, intern);
+    ASSERT_FALSE(compiled.ok()) << "algres, intern=" << intern;
     EXPECT_EQ(compiled.status().code(), expected)
-        << "algres, threads=" << threads << ": " << compiled.status();
+        << "algres, intern=" << intern << ": " << compiled.status();
   }
+
+  datalog::EvalOptions dl;
+  dl.budget = budget;
+  auto baseline = datalog::Evaluate(engines.baseline, dl);
+  ASSERT_FALSE(baseline.ok()) << "datalog";
+  EXPECT_EQ(baseline.status().code(), expected)
+      << "datalog: " << baseline.status();
 }
 
 TEST(ClassificationParity, StepExhaustionIsDivergenceEverywhere) {
@@ -506,39 +451,30 @@ void ExpectGoalDirectedClassification(ChainEngines& engines,
                                       StatusCode expected) {
   auto goal = ParseGoal("? tc(a: 0, b: X).");
   ASSERT_TRUE(goal.ok()) << goal.status();
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    for (bool intern : {true, false}) {
-      EvalOptions options;
-      options.budget = budget;
-      options.num_threads = threads;
-      options.intern_values = intern;
-      auto direct = engines.db.Query(*goal, options);
-      ASSERT_FALSE(direct.ok())
-          << "direct, threads=" << threads << ", intern=" << intern;
-      EXPECT_EQ(direct.status().code(), expected)
-          << "direct, threads=" << threads << ", intern=" << intern << ": "
-          << direct.status();
-      auto compiled = AlgresBackend::QueryGoal(
-          engines.db.schema(), engines.db.functions(), engines.db.rules(),
-          engines.db.edb(), *goal, options);
-      ASSERT_FALSE(compiled.ok())
-          << "algres, threads=" << threads << ", intern=" << intern;
-      EXPECT_EQ(compiled.status().code(), expected)
-          << "algres, threads=" << threads << ", intern=" << intern << ": "
-          << compiled.status();
-    }
-
-    datalog::EvalOptions dl;
-    dl.budget = budget;
-    dl.num_threads = threads;
-    datalog::Literal dl_goal{
-        "tc", {datalog::Term::Int(0), datalog::Term::Var("X")}, false};
-    datalog::GoalDirectedInfo info;
-    auto flat = datalog::Query(engines.baseline, dl_goal, dl, &info);
-    ASSERT_FALSE(flat.ok()) << "datalog, threads=" << threads;
-    EXPECT_EQ(flat.status().code(), expected)
-        << "datalog, threads=" << threads << ": " << flat.status();
+  for (bool intern : {true, false}) {
+    EvalOptions options;
+    options.budget = budget;
+    options.intern_values = intern;
+    auto direct = engines.db.Query(*goal, options);
+    ASSERT_FALSE(direct.ok()) << "direct, intern=" << intern;
+    EXPECT_EQ(direct.status().code(), expected)
+        << "direct, intern=" << intern << ": " << direct.status();
+    auto compiled = AlgresBackend::QueryGoal(
+        engines.db.schema(), engines.db.functions(), engines.db.rules(),
+        engines.db.edb(), *goal, options);
+    ASSERT_FALSE(compiled.ok()) << "algres, intern=" << intern;
+    EXPECT_EQ(compiled.status().code(), expected)
+        << "algres, intern=" << intern << ": " << compiled.status();
   }
+
+  datalog::EvalOptions dl;
+  dl.budget = budget;
+  datalog::Literal dl_goal{
+      "tc", {datalog::Term::Int(0), datalog::Term::Var("X")}, false};
+  datalog::GoalDirectedInfo info;
+  auto flat = datalog::Query(engines.baseline, dl_goal, dl, &info);
+  ASSERT_FALSE(flat.ok()) << "datalog";
+  EXPECT_EQ(flat.status().code(), expected) << "datalog: " << flat.status();
 }
 
 TEST(ClassificationParity, GoalDirectedStepExhaustionIsDivergence) {

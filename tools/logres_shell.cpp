@@ -42,8 +42,7 @@
 //   dot                    print the predicate dependency graph (DOT)
 //   set                    show the evaluation limits
 //   set <limit> <n>        set timeout_ms / max_steps / max_facts /
-//                          max_bytes / threads (0 = one per hardware
-//                          thread) / intern_values (0 = plain-allocation
+//                          max_bytes / intern_values (0 = plain-allocation
 //                          reference path) (0 = unlimited) for later
 //                          apply/run/? commands
 //   set goal_directed on|off
@@ -136,7 +135,6 @@ class Shell {
     EvalOptions options;
     options.budget = budget_;
     options.budget.cancel = InterruptSource().token();
-    options.num_threads = threads_;
     options.intern_values = intern_values_;
     options.goal_directed = goal_directed_;
     return options;
@@ -463,13 +461,13 @@ class Shell {
       if (key.empty()) {
         std::printf(
             "timeout_ms = %lld\nmax_steps = %zu\nmax_facts = %zu\n"
-            "max_bytes = %zu\nthreads = %zu\nintern_values = %d\n"
+            "max_bytes = %zu\nintern_values = %d\n"
             "goal_directed = %s\n",
             budget_.timeout.has_value()
                 ? static_cast<long long>(budget_.timeout->count())
                 : 0LL,
             budget_.max_steps, budget_.max_facts, budget_.max_bytes,
-            threads_, intern_values_ ? 1 : 0, goal_directed_ ? "on" : "off");
+            intern_values_ ? 1 : 0, goal_directed_ ? "on" : "off");
         return true;
       }
       if (key == "goal_directed") {
@@ -493,7 +491,7 @@ class Shell {
       if (value < 0) {
         std::printf(
             "usage: set [timeout_ms|max_steps|max_facts|max_bytes|"
-            "threads|intern_values] <n> | set goal_directed on|off\n");
+            "intern_values] <n> | set goal_directed on|off\n");
         return true;
       }
       if (key == "timeout_ms") {
@@ -508,9 +506,6 @@ class Shell {
         budget_.max_facts = static_cast<size_t>(value);
       } else if (key == "max_bytes") {
         budget_.max_bytes = static_cast<size_t>(value);
-      } else if (key == "threads") {
-        // 0 = one per hardware thread; results are identical either way.
-        threads_ = static_cast<size_t>(value);
       } else if (key == "intern_values") {
         // 0 = plain-allocation reference path; results are identical
         // either way (EvalOptions::intern_values).
@@ -518,8 +513,8 @@ class Shell {
       } else {
         std::printf(
             "unknown limit '%s' "
-            "(timeout_ms/max_steps/max_facts/max_bytes/threads/"
-            "intern_values/goal_directed)\n",
+            "(timeout_ms/max_steps/max_facts/max_bytes/intern_values/"
+            "goal_directed)\n",
             key.c_str());
         return true;
       }
@@ -611,7 +606,6 @@ class Shell {
   std::optional<JournaledDatabase> jdb_;
   bool has_db_ = false;
   Budget budget_;  // adjusted with `set`; cancel token added per command
-  size_t threads_ = 1;  // `set threads`; 0 = one per hardware thread
   bool intern_values_ = true;  // `set intern_values`; off = reference path
   bool goal_directed_ = true;  // `set goal_directed`; off = whole-program
 };
