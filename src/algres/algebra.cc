@@ -8,6 +8,16 @@
 
 namespace logres::algres {
 
+namespace {
+
+// The joins' interrupt poll: every 1024th emitted row asks the governor.
+Status PollEvery1024(const ResourceGovernor* governor, size_t* emitted) {
+  if (governor == nullptr || (++*emitted & 1023u) != 0) return Status::OK();
+  return governor->CheckInterrupt();
+}
+
+}  // namespace
+
 Result<Relation> Select(const Relation& input, const RowPredicate& pred) {
   Relation out(input.columns());
   for (const Row& row : input) {
@@ -59,7 +69,8 @@ Result<Relation> Rename(
   return out;
 }
 
-Result<Relation> Product(const Relation& left, const Relation& right) {
+Result<Relation> Product(const Relation& left, const Relation& right,
+                         const ResourceGovernor* governor) {
   std::vector<std::string> columns = left.columns();
   for (const std::string& c : right.columns()) {
     if (left.HasColumn(c)) {
@@ -69,8 +80,10 @@ Result<Relation> Product(const Relation& left, const Relation& right) {
     columns.push_back(c);
   }
   Relation out(std::move(columns));
+  size_t emitted = 0;
   for (const Row& l : left) {
     for (const Row& r : right) {
+      LOGRES_RETURN_NOT_OK(PollEvery1024(governor, &emitted));
       Row row = l;
       row.insert(row.end(), r.begin(), r.end());
       LOGRES_RETURN_NOT_OK(out.Insert(std::move(row)).status());
@@ -79,21 +92,23 @@ Result<Relation> Product(const Relation& left, const Relation& right) {
   return out;
 }
 
-Result<Relation> NaturalJoin(const Relation& left, const Relation& right) {
+Result<Relation> NaturalJoin(const Relation& left, const Relation& right,
+                             const ResourceGovernor* governor) {
   std::vector<std::pair<std::string, std::string>> on;
   for (const std::string& c : left.columns()) {
     if (right.HasColumn(c)) on.emplace_back(c, c);
   }
   if (on.empty()) {
     // Disjoint headers: natural join degenerates to the product.
-    return Product(left, right);
+    return Product(left, right, governor);
   }
-  return EquiJoin(left, right, on);
+  return EquiJoin(left, right, on, governor);
 }
 
 Result<Relation> EquiJoin(
     const Relation& left, const Relation& right,
-    const std::vector<std::pair<std::string, std::string>>& on) {
+    const std::vector<std::pair<std::string, std::string>>& on,
+    const ResourceGovernor* governor) {
   std::vector<size_t> lkey, rkey;
   for (const auto& [lc, rc] : on) {
     LOGRES_ASSIGN_OR_RETURN(size_t li, left.ColumnIndex(lc));
@@ -122,11 +137,14 @@ Result<Relation> EquiJoin(
   Relation out(std::move(columns));
   const std::vector<Row>& lrows = left.rows();
   Status status = Status::OK();
+  size_t emitted = 0;
   Row key;
   for (const Row& l : lrows) {
     key.clear();
     for (size_t i : lkey) key.push_back(l[i]);
     right.ForEachMatch(index, key, [&](const Row& r) {
+      if (!status.ok()) return;
+      status = PollEvery1024(governor, &emitted);
       if (!status.ok()) return;
       Row row = l;
       for (size_t i : rkeep) row.push_back(r[i]);

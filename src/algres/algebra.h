@@ -48,17 +48,24 @@ Result<Relation> Rename(
     const Relation& input,
     const std::vector<std::pair<std::string, std::string>>& renames);
 
+// The joins below poll \p governor's cancellation and deadline every 1024
+// output rows (when one is given), so an interrupt lands inside one large
+// join instead of after it.
+
 /// \brief ×: Cartesian product. Column names must be disjoint.
-Result<Relation> Product(const Relation& left, const Relation& right);
+Result<Relation> Product(const Relation& left, const Relation& right,
+                         const ResourceGovernor* governor = nullptr);
 
 /// \brief ⋈: natural join on all shared column names (product if none).
-Result<Relation> NaturalJoin(const Relation& left, const Relation& right);
+Result<Relation> NaturalJoin(const Relation& left, const Relation& right,
+                             const ResourceGovernor* governor = nullptr);
 
 /// \brief Equi-join on explicit column pairs (left name, right name).
 /// Right join columns are dropped from the result.
 Result<Relation> EquiJoin(
     const Relation& left, const Relation& right,
-    const std::vector<std::pair<std::string, std::string>>& on);
+    const std::vector<std::pair<std::string, std::string>>& on,
+    const ResourceGovernor* governor = nullptr);
 
 /// \brief θ-join: product filtered by a predicate over the combined row
 /// (left columns first). Column names must be disjoint.

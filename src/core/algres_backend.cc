@@ -276,7 +276,9 @@ Result<AlgresBackend> AlgresBackend::Compile(const Schema& schema,
 Result<Relation> AlgresBackend::EvalRule(const CompiledRule& rule,
                                          const RelationalDb& db,
                                          const RelationalDb* delta,
-                                         size_t delta_index) const {
+                                         size_t delta_index,
+                                         const ResourceGovernor* governor)
+    const {
   // Semi-naive early exit: when the delta literal's frontier relation is
   // empty, the whole join is empty — skip the per-literal select/project
   // pipeline over the full database (which dominates late fixpoint rounds,
@@ -394,7 +396,8 @@ Result<Relation> AlgresBackend::EvalRule(const CompiledRule& rule,
       bindings = std::move(current);
     } else {
       LOGRES_ASSIGN_OR_RETURN(bindings,
-                              algres::NaturalJoin(*bindings, current));
+                              algres::NaturalJoin(*bindings, current,
+                                                  governor));
     }
   }
   if (!bindings.has_value()) {
@@ -664,7 +667,7 @@ Result<bool> AlgresBackend::RunStratum(
       bool changed = false;
       for (const CompiledRule* rule : rules) {
         LOGRES_ASSIGN_OR_RETURN(Relation derived,
-                                EvalRule(*rule, *db, nullptr, 0));
+                                EvalRule(*rule, *db, nullptr, 0, governor));
         Relation& target = db->at(rule->head_predicate);
         for (const Row& row : derived) {
           LOGRES_ASSIGN_OR_RETURN(bool inserted, target.Insert(row));
@@ -688,7 +691,7 @@ Result<bool> AlgresBackend::RunStratum(
         LOGRES_ASSIGN_OR_RETURN(
             Relation derived,
             EvalRule(*rule, *db, rule->literals.empty() ? nullptr : &delta,
-                     pos));
+                     pos, governor));
         const Relation& target = db->at(rule->head_predicate);
         for (const Row& row : derived) {
           if (!target.Contains(row)) {

@@ -135,10 +135,13 @@ class AlgresBackend {
 
   AlgresBackend(const Schema& schema) : schema_(&schema) {}
 
+  // The rule's derived head rows. The joins poll `governor` every 1024
+  // rows, so an interrupt lands inside one large join.
   Result<algres::Relation> EvalRule(const CompiledRule& rule,
                                     const RelationalDb& db,
                                     const RelationalDb* delta,
-                                    size_t delta_index) const;
+                                    size_t delta_index,
+                                    const ResourceGovernor* governor) const;
 
   Result<bool> RunStratum(const std::vector<const CompiledRule*>& rules,
                           RelationalDb* db, AlgresStrategy strategy,

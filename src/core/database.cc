@@ -94,6 +94,7 @@ Result<Oid> Database::InsertObject(const std::string& cls, Value ovalue) {
   if (!schema_.IsClass(name)) {
     return Status::NotFound(StrCat("'", cls, "' is not a class"));
   }
+  verified_schema_.reset();
   return edb_.CreateObject(schema_, name, std::move(ovalue), &gen_,
                            ActiveUndo());
 }
@@ -103,6 +104,7 @@ Status Database::InsertTuple(const std::string& assoc, Value tuple) {
   if (!schema_.IsAssociation(name)) {
     return Status::NotFound(StrCat("'", assoc, "' is not an association"));
   }
+  verified_schema_.reset();
   edb_.InsertTuple(name, std::move(tuple), ActiveUndo());
   return Status::OK();
 }
@@ -110,7 +112,8 @@ Status Database::InsertTuple(const std::string& assoc, Value tuple) {
 Result<Instance> Database::Evaluate(
     const Schema& schema, const std::vector<FunctionDecl>& functions,
     const std::vector<Rule>& rules, const Instance& edb,
-    const EvalOptions& options, EvalStats* stats) const {
+    const EvalOptions& options, EvalStats* stats,
+    Schema* checked_under) const {
   LOGRES_ASSIGN_OR_RETURN(Schema effective,
                           EffectiveSchema(schema, functions));
   LOGRES_ASSIGN_OR_RETURN(CheckedProgram program,
@@ -118,9 +121,24 @@ Result<Instance> Database::Evaluate(
   Evaluator evaluator(effective, program, &gen_);
   LOGRES_ASSIGN_OR_RETURN(Instance instance,
                           evaluator.Run(edb, options));
-  LOGRES_RETURN_NOT_OK(instance.CheckConsistent(effective));
+  LOGRES_RETURN_NOT_OK(
+      CheckRunResult(edb, effective, instance, evaluator.touched()));
   if (stats != nullptr) *stats = evaluator.stats();
+  if (checked_under != nullptr) *checked_under = std::move(effective);
   return instance;
+}
+
+Status Database::CheckRunResult(const Instance& base, const Schema& schema,
+                                const Instance& result,
+                                const TouchedItems& touched) const {
+  if (&base != &edb_ || touched.erased) return result.CheckConsistent(schema);
+  if (!verified_schema_.has_value() ||
+      !schema.ExtendsWithAssociations(*verified_schema_)) {
+    verified_schema_.reset();
+    if (edb_.CheckConsistent(schema).ok()) verified_schema_ = schema;
+  }
+  if (!verified_schema_.has_value()) return result.CheckConsistent(schema);
+  return result.CheckConsistent(schema, &touched);
 }
 
 Result<Instance> Database::Materialize(const EvalOptions& options) const {
@@ -144,7 +162,8 @@ Result<std::optional<std::vector<Bindings>>> Database::QueryGoalDirected(
     seeded.InsertTuple(assoc, tuple);
   }
   Evaluator evaluator(mr.schema, mr.checked, &gen_);
-  LOGRES_ASSIGN_OR_RETURN(Instance demanded, evaluator.Run(seeded, options));
+  LOGRES_ASSIGN_OR_RETURN(Instance demanded,
+                          evaluator.Run(std::move(seeded), options));
   EvalStats run_stats = evaluator.stats();
   run_stats.magic_rules = mr.magic_rule_count;
   run_stats.demand_facts = CountMagicFacts(demanded);
@@ -154,7 +173,10 @@ Result<std::optional<std::vector<Bindings>>> Database::QueryGoalDirected(
       edb.TotalFacts() == 0
           ? 0.0
           : static_cast<double>(demanded.TotalFacts()) / edb.TotalFacts();
-  LOGRES_RETURN_NOT_OK(demanded.CheckConsistent(effective));
+  // The seeds live in magic relations, stripped above, so `edb` is the
+  // base the touched items are relative to.
+  LOGRES_RETURN_NOT_OK(
+      CheckRunResult(edb, effective, demanded, evaluator.touched()));
   LOGRES_ASSIGN_OR_RETURN(auto answer, evaluator.AnswerGoal(demanded, goal));
   if (stats != nullptr) *stats = std::move(run_stats);
   if (cone != nullptr) *cone = std::move(demanded);
@@ -278,6 +300,7 @@ Database& Database::operator=(const Database& other) {
   edb_ = other.edb_;
   modules_ = other.modules_;
   gen_ = other.gen_;
+  verified_schema_.reset();
   edb_undo_.Clear();
   snapshot_bases_.clear();
   return *this;
@@ -306,6 +329,7 @@ void Database::ReleaseSnapshotMark(size_t base) const {
 }
 
 void Database::RestoreSnapshot(Snapshot snapshot) {
+  verified_schema_.reset();
   edb_.RollbackTo(&edb_undo_, snapshot.undo_base_);
   schema_ = std::move(snapshot.schema_);
   rules_ = std::move(snapshot.rules_);
@@ -318,6 +342,7 @@ void Database::ReplaceEdb(Instance next) {
     undo->InstanceReplaced(
         std::make_unique<Instance>(std::move(edb_)));
   }
+  verified_schema_.reset();
   edb_ = std::move(next);
 }
 
@@ -391,6 +416,7 @@ Result<ModuleResult> Database::ApplyInPlace(const Module& module,
         result.stats.goal_directed_fallback = std::move(fallback_reason);
       }
       if (mode == ApplicationMode::kRADI) {
+        verified_schema_.reset();
         schema_ = std::move(merged);
         rules_ = std::move(rules);
         functions_ = std::move(fns);
@@ -398,6 +424,7 @@ Result<ModuleResult> Database::ApplyInPlace(const Module& module,
       break;
     }
     case ApplicationMode::kRDDI: {
+      verified_schema_.reset();
       rules_ = SubtractRules(rules_, module.rules);
       for (const std::string& name : module.schema.DomainNames()) {
         LOGRES_RETURN_NOT_OK(schema_.Undeclare(name));
@@ -421,12 +448,15 @@ Result<ModuleResult> Database::ApplyInPlace(const Module& module,
       LOGRES_RETURN_NOT_OK(merged.Merge(module.schema));
       std::vector<FunctionDecl> fns =
           MergeFunctions(functions_, module.functions);
+      Schema e1_schema;
       LOGRES_ASSIGN_OR_RETURN(
           Instance e1, Evaluate(merged, fns, module.rules, edb_, options,
-                                &result.stats));
+                                &result.stats, &e1_schema));
       ReplaceEdb(std::move(e1));
       schema_ = std::move(merged);
       functions_ = std::move(fns);
+      // E1 passed the Definition 4 check under exactly the new (S, F).
+      verified_schema_ = std::move(e1_schema);
       if (mode == ApplicationMode::kRADV) {
         rules_.insert(rules_.end(), module.rules.begin(),
                       module.rules.end());
@@ -447,6 +477,7 @@ Result<ModuleResult> Database::ApplyInPlace(const Module& module,
       LOGRES_ASSIGN_OR_RETURN(
           Instance em, Evaluate(schema_, functions_, module.rules, empty,
                                 options, &result.stats));
+      verified_schema_.reset();
       for (const auto& [assoc, tuples] : em.associations()) {
         for (const Value& t : tuples) {
           edb_.EraseTuple(assoc, t, ActiveUndo());

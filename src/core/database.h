@@ -49,8 +49,10 @@ class Database {
   // Copies duplicate the state (E, R, S), modules, and the generator, but
   // never the rollback machinery: snapshots are bound to the object they
   // were taken from, so a copy starts with no outstanding snapshot marks
-  // and an empty undo log. Copying (or assigning over) a database while
-  // one of its own snapshots is outstanding is not supported.
+  // and an empty undo log. Nor do they copy the verified-E mark (DESIGN.md
+  // §15): a copy's first evaluation checks all of E again. Copying (or
+  // assigning over) a database while one of its own snapshots is
+  // outstanding is not supported.
   Database(const Database& other);
   Database& operator=(const Database& other);
   Database(Database&&) = default;
@@ -66,7 +68,14 @@ class Database {
   const std::vector<Rule>& rules() const { return rules_; }
   const std::vector<FunctionDecl>& functions() const { return functions_; }
   const Instance& edb() const { return edb_; }
-  Instance* mutable_edb() { return &edb_; }
+  /// \brief Direct write access to E (dump load, tests). Calling it
+  /// clears the mark that E passed the Definition 4 check (DESIGN.md §15),
+  /// so the next evaluation re-checks all of E; do not keep the pointer
+  /// across an evaluation.
+  Instance* mutable_edb() {
+    verified_schema_.reset();
+    return &edb_;
+  }
   OidGenerator* oid_generator() { return &gen_; }
 
   /// \brief How many oids this database has issued so far.
@@ -189,12 +198,24 @@ class Database {
                                     ApplicationMode mode,
                                     const EvalOptions& options);
 
-  // Evaluates `rules` (plus functions) over `edb` under `schema`.
+  // Evaluates `rules` (plus functions) over `edb` under `schema`. The
+  // result passed the Definition 4 check under the effective schema,
+  // which is stored in `checked_under` when that is non-null.
   Result<Instance> Evaluate(const Schema& schema,
                             const std::vector<FunctionDecl>& functions,
                             const std::vector<Rule>& rules,
                             const Instance& edb, const EvalOptions& options,
-                            EvalStats* stats) const;
+                            EvalStats* stats,
+                            Schema* checked_under = nullptr) const;
+
+  // The Definition 4 check of `result`, the fixpoint of a run over `base`
+  // that touched `touched` (DESIGN.md §15). Only the touched items are
+  // checked when `base` is E, E is marked consistent under a schema that
+  // `schema` extends with associations only, and the run erased nothing;
+  // an unmarked E gets one full check first. Otherwise all of `result`.
+  Status CheckRunResult(const Instance& base, const Schema& schema,
+                        const Instance& result,
+                        const TouchedItems& touched) const;
 
   // Attempts goal-directed (magic-set) evaluation of `goal` against
   // (`schema`, `functions`, `rules`, `edb`). Returns nullopt when the
@@ -228,6 +249,11 @@ class Database {
   std::vector<Rule> rules_;
   std::vector<FunctionDecl> functions_;
   Instance edb_;
+  // The effective schema under which edb_ last passed the full Definition
+  // 4 check; nullopt when unknown. Every write to edb_ and every schema
+  // change clears it. Mutable: queries (const) set it. Per Database, like
+  // the rest of the state (DESIGN.md §9).
+  mutable std::optional<Schema> verified_schema_;
   std::vector<Module> modules_;
   // Mutable: module application consumes oids even when rejected.
   mutable OidGenerator gen_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "algres/interner.h"
 #include "core/undo_log.h"
@@ -96,6 +98,21 @@ struct Delta {
   std::vector<ClassFact> del_objects;
   std::vector<AssocFact> add_tuples;
   std::vector<AssocFact> del_tuples;
+  // The distinct tuples of add_tuples per association: a head that many
+  // valuations derive enters Δ+ once per step, so a step's memory grows
+  // with distinct facts rather than with firings.
+  std::unordered_map<std::string, std::unordered_set<Value, ValueHash>>
+      added_tuples;
+
+  void AddTuple(const std::string& assoc, Value tuple) {
+    if (added_tuples[assoc].insert(tuple).second) {
+      add_tuples.push_back(AssocFact{assoc, std::move(tuple)});
+    }
+  }
+  bool AddsTuple(const AssocFact& fact) const {
+    auto it = added_tuples.find(fact.assoc);
+    return it != added_tuples.end() && it->second.count(fact.tuple) > 0;
+  }
 
   bool empty() const {
     return add_objects.empty() && del_objects.empty() &&
@@ -1051,8 +1068,7 @@ class HeadFirer {
     (void)rule;
     LOGRES_ASSIGN_OR_RETURN(auto fields, schema_.EffectiveFields(rp.name));
     LOGRES_ASSIGN_OR_RETURN(auto provided, BuildFields(rp, b));
-    Value tuple = AssembleTuple(fields, provided, nullptr);
-    delta->add_tuples.push_back(AssocFact{rp.name, tuple});
+    delta->AddTuple(rp.name, AssembleTuple(fields, provided, nullptr));
     return Status::OK();
   }
 
@@ -1259,15 +1275,9 @@ Result<Instance> ApplyDeltaUndo(const Schema& schema, Instance* F,
     if (keep) continue;
     LOGRES_RETURN_NOT_OK(F->RemoveObject(schema, fact.cls, fact.oid, undo));
   }
-  auto in_add_tuples = [&](const AssocFact& fact) {
-    for (const AssocFact& a : delta.add_tuples) {
-      if (a.assoc == fact.assoc && a.tuple == fact.tuple) return true;
-    }
-    return false;
-  };
   for (const AssocFact& fact : delta.del_tuples) {
     bool keep = pre.Tuple(*F, fact.assoc, fact.tuple) &&
-                in_add_tuples(fact);
+                delta.AddsTuple(fact);
     if (keep) continue;
     F->EraseTuple(fact.assoc, fact.tuple, undo);
     added.EraseTuple(fact.assoc, fact.tuple);
@@ -1392,11 +1402,13 @@ Result<bool> Evaluator::RunStratum(
       LOGRES_ASSIGN_OR_RETURN(
           added,
           ApplyDeltaInPlace(schema_, instance, step_delta, &changed, &undo));
+      touched_.Add(undo);
       if (!changed) return true;
     } else {
       NetDiff net;
       LOGRES_ASSIGN_OR_RETURN(
           added, ApplyDeltaUndo(schema_, instance, step_delta, &undo, &net));
+      touched_.Add(undo);
       if (net.Empty()) return true;
     }
     LOGRES_RETURN_NOT_OK(governor->CheckFacts(instance->TotalFacts()));
@@ -1405,9 +1417,10 @@ Result<bool> Evaluator::RunStratum(
   }
 }
 
-Result<Instance> Evaluator::Run(const Instance& edb,
+Result<Instance> Evaluator::Run(Instance instance,
                                 const EvalOptions& options) {
   stats_ = EvalStats{};
+  touched_ = TouchedItems{};
   invention_memo_.clear();
   // Interning mode for the whole evaluation (see EvalOptions): every
   // Value built from here on is canonical (on) or fresh (off). Baselines
@@ -1416,7 +1429,6 @@ Result<Instance> Evaluator::Run(const Instance& edb,
   ScopedInternValues intern_scope(options.intern_values);
   intern_hits_base_ = ValueInterner::stats().hits;
   intern_bytes_base_ = ValueInterner::stats().resident_bytes;
-  Instance instance = edb;
   ResourceGovernor governor(options.budget);
   auto started = std::chrono::steady_clock::now();
   // Steps consumed by per-stratum sub-governors (stratum_fraction mode),
@@ -1460,6 +1472,9 @@ Result<Instance> Evaluator::Run(const Instance& edb,
       LOGRES_RETURN_NOT_OK(governor.CheckFacts(instance.TotalFacts()));
       LOGRES_RETURN_NOT_OK(CheckByteBudget(instance, &governor));
     }
+    // Each step restarted from E, so the last step's log alone is the
+    // result's change relative to E.
+    touched_.Add(undo);
   } else if (options.mode == EvalMode::kStratified &&
              program_.stratified) {
     // With stratum_fraction set, each stratum runs under its own

@@ -54,6 +54,7 @@
 #include "core/modes.h"
 #include "core/schema.h"
 #include "core/typecheck.h"
+#include "core/undo_log.h"
 #include "util/governor.h"
 #include "util/status.h"
 
@@ -155,11 +156,15 @@ class Evaluator {
       : schema_(schema), program_(program), gen_(gen) {}
 
   /// \brief Computes the instance: the fixpoint of the program applied to
-  /// \p edb. The input is not modified.
-  Result<Instance> Run(const Instance& edb,
-                       const EvalOptions& options = {});
+  /// \p edb, which the run takes over (callers that keep their instance
+  /// pass a copy).
+  Result<Instance> Run(Instance edb, const EvalOptions& options = {});
 
   const EvalStats& stats() const { return stats_; }
+
+  /// \brief What the last successful Run inserted or rewrote relative to
+  /// its input (Instance::CheckConsistent's touched mode).
+  const TouchedItems& touched() const { return touched_; }
 
   /// \brief Answers a goal against a materialized instance: returns every
   /// binding of the goal's variables (projected to named variables).
@@ -173,6 +178,7 @@ class Evaluator {
   const CheckedProgram& program_;
   OidGenerator* gen_;
   EvalStats stats_;
+  TouchedItems touched_;
 
   // Invented-oid memo: (rule index, serialized body valuation) -> oid.
   std::map<std::pair<size_t, std::string>, Oid> invention_memo_;

@@ -1,6 +1,8 @@
 #include "core/instance.h"
 
 #include <algorithm>
+#include <optional>
+#include <unordered_map>
 
 #include "core/undo_log.h"
 #include "util/string_util.h"
@@ -295,9 +297,26 @@ size_t Instance::TotalFacts() const {
   return n;
 }
 
-Status Instance::CheckValueConforms(const Schema& schema, const Value& value,
-                                    const Type& type, bool allow_nil_refs,
-                                    const std::string& context) const {
+namespace {
+
+// Where a value under check sits, e.g. "PERSON#3.address.city": one stack
+// frame per nested tuple field, linked to its parent, rendered into the
+// error message only when a check fails. The root names the class (with
+// the object's oid) or the association the value belongs to.
+struct ValuePath {
+  const ValuePath* parent;
+  const std::string& segment;  // root: class/association; else a label
+  const Oid* oid = nullptr;    // root of an o-value: the object's oid
+
+  std::string Render() const {
+    if (parent != nullptr) return StrCat(parent->Render(), ".", segment);
+    return oid != nullptr ? StrCat(segment, "#", oid->id) : segment;
+  }
+};
+
+Status CheckValueConforms(const Instance& instance, const Schema& schema,
+                          const Value& value, const Type& type,
+                          bool allow_nil_refs, const ValuePath& path) {
   switch (type.kind()) {
     case TypeKind::kInt:
       if (value.kind() != ValueKind::kInt) break;
@@ -317,14 +336,14 @@ Status Instance::CheckValueConforms(const Schema& schema, const Value& value,
         if (value.is_nil()) {
           if (allow_nil_refs) return Status::OK();
           return Status::ConstraintViolation(
-              StrCat(context, ": nil oid for class '", name,
+              StrCat(path.Render(), ": nil oid for class '", name,
                      "' inside an association (associations must refer to "
                      "existing objects, Section 2.1)"));
         }
         if (value.kind() != ValueKind::kOid) break;
-        if (!HasObject(name, value.oid_value())) {
+        if (!instance.HasObject(name, value.oid_value())) {
           return Status::ConstraintViolation(
-              StrCat(context, ": oid ", value.ToString(),
+              StrCat(path.Render(), ": oid ", value.ToString(),
                      " is not a member of class '", name,
                      "' (active referential integrity)"));
         }
@@ -332,117 +351,207 @@ Status Instance::CheckValueConforms(const Schema& schema, const Value& value,
       }
       // Domain or association alias: check against its expansion.
       LOGRES_ASSIGN_OR_RETURN(Type rhs, schema.TypeOf(name));
-      return CheckValueConforms(schema, value, rhs, allow_nil_refs, context);
+      return CheckValueConforms(instance, schema, value, rhs, allow_nil_refs,
+                                path);
     }
     case TypeKind::kTuple: {
       if (value.kind() != ValueKind::kTuple) break;
       // Projection conformance: every type field must be present and
       // conforming; extra value fields (e.g. subclass attributes) are fine.
       for (const auto& [label, ftype] : type.fields()) {
-        std::optional<Value> fv = value.FindField(label);
-        if (!fv.has_value()) {
+        const Value* fv = value.FindFieldRef(label);
+        if (fv == nullptr) {
           return Status::ConstraintViolation(
-              StrCat(context, ": value ", value.ToString(),
+              StrCat(path.Render(), ": value ", value.ToString(),
                      " lacks field '", label, "' of type ",
                      ftype.ToString()));
         }
-        LOGRES_RETURN_NOT_OK(CheckValueConforms(
-            schema, *fv, ftype, allow_nil_refs,
-            StrCat(context, ".", label)));
+        LOGRES_RETURN_NOT_OK(CheckValueConforms(instance, schema, *fv, ftype,
+                                                allow_nil_refs,
+                                                ValuePath{&path, label}));
       }
       return Status::OK();
     }
-    case TypeKind::kSet: {
-      if (value.kind() != ValueKind::kSet) break;
-      for (const Value& e : value.elements()) {
-        LOGRES_RETURN_NOT_OK(CheckValueConforms(
-            schema, e, type.element(), allow_nil_refs, context));
-      }
-      return Status::OK();
-    }
-    case TypeKind::kMultiset: {
-      if (value.kind() != ValueKind::kMultiset) break;
-      for (const Value& e : value.elements()) {
-        LOGRES_RETURN_NOT_OK(CheckValueConforms(
-            schema, e, type.element(), allow_nil_refs, context));
-      }
-      return Status::OK();
-    }
+    case TypeKind::kSet:
+    case TypeKind::kMultiset:
     case TypeKind::kSequence: {
-      if (value.kind() != ValueKind::kSequence) break;
+      ValueKind expected = type.kind() == TypeKind::kSet ? ValueKind::kSet
+                           : type.kind() == TypeKind::kMultiset
+                               ? ValueKind::kMultiset
+                               : ValueKind::kSequence;
+      if (value.kind() != expected) break;
       for (const Value& e : value.elements()) {
         LOGRES_RETURN_NOT_OK(CheckValueConforms(
-            schema, e, type.element(), allow_nil_refs, context));
+            instance, schema, e, type.element(), allow_nil_refs, path));
       }
       return Status::OK();
     }
   }
   return Status::ConstraintViolation(
-      StrCat(context, ": value ", value.ToString(), " does not conform to ",
-             type.ToString()));
+      StrCat(path.Render(), ": value ", value.ToString(),
+             " does not conform to ", type.ToString()));
 }
 
-Status Instance::CheckConsistent(const Schema& schema) const {
+// Calls `fn` on every oid of `oids` that `touched` names (all of them when
+// `touched` is null), in oid order, stopping at the first error.
+template <typename Fn>
+Status ForEachChecked(const std::set<Oid>& oids, const TouchedItems* touched,
+                      Fn fn) {
+  if (touched == nullptr || oids.size() <= touched->oids.size()) {
+    for (Oid oid : oids) {
+      if (touched != nullptr && !touched->oids.count(oid)) continue;
+      LOGRES_RETURN_NOT_OK(fn(oid));
+    }
+    return Status::OK();
+  }
+  for (Oid oid : touched->oids) {
+    if (oids.count(oid)) LOGRES_RETURN_NOT_OK(fn(oid));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status Instance::CheckConsistent(const Schema& schema,
+                                 const TouchedItems* touched) const {
   // Def. 4a: pi(C) ⊆ pi(C') along isa.
   for (const IsaDecl& d : schema.isa_decls()) {
     if (!d.component_label.empty()) continue;
-    const std::set<Oid>& sub = OidsOf(d.sub);
     const std::set<Oid>& super = OidsOf(d.super);
-    for (Oid oid : sub) {
-      if (!super.count(oid)) {
-        return Status::Inconsistent(
-            StrCat("oid #", oid.id, " in '", d.sub, "' but not in its "
-                   "superclass '", d.super, "' (Definition 4a)"));
-      }
-    }
+    LOGRES_RETURN_NOT_OK(
+        ForEachChecked(OidsOf(d.sub), touched, [&](Oid oid) -> Status {
+          if (super.count(oid)) return Status::OK();
+          return Status::Inconsistent(
+              StrCat("oid #", oid.id, " in '", d.sub, "' but not in its "
+                     "superclass '", d.super, "' (Definition 4a)"));
+        }));
   }
 
-  // Def. 4b: classes sharing an oid must share a hierarchy root.
-  std::map<Oid, std::vector<std::string>> membership;
+  // Def. 4b: classes sharing an oid must share a hierarchy root. Each
+  // oid's later classes (in name order) are compared with its first one;
+  // the smallest offending oid is reported.
+  std::vector<const std::string*> names;
+  std::vector<std::optional<std::string>> roots;
   for (const auto& [cls, oids] : class_oids_) {
-    for (Oid oid : oids) membership[oid].push_back(cls);
+    (void)oids;
+    Result<std::string> root = schema.RootOf(cls);
+    names.push_back(&cls);
+    roots.push_back(root.ok() ? std::optional(*std::move(root))
+                              : std::nullopt);
   }
-  for (const auto& [oid, classes] : membership) {
-    for (size_t i = 1; i < classes.size(); ++i) {
-      if (!schema.SameHierarchy(classes[0], classes[i])) {
-        return Status::Inconsistent(
-            StrCat("oid #", oid.id, " belongs to '", classes[0], "' and '",
-                   classes[i],
-                   "' which have no common ancestor (Definition 4b)"));
+  auto same_hierarchy = [&](size_t a, size_t b) {
+    return roots[a].has_value() && roots[b].has_value() &&
+           *roots[a] == *roots[b];
+  };
+  struct Clash {
+    Oid oid;
+    size_t first, other;
+  };
+  std::optional<Clash> clash;
+  if (touched == nullptr) {
+    std::unordered_map<uint64_t, size_t> first_class;
+    first_class.reserve(ovalues_.size());
+    size_t i = 0;
+    for (const auto& [cls, oids] : class_oids_) {
+      (void)cls;
+      for (Oid oid : oids) {
+        auto [it, inserted] = first_class.try_emplace(oid.id, i);
+        if (inserted || (clash.has_value() && !(oid < clash->oid))) continue;
+        if (!same_hierarchy(it->second, i)) clash = Clash{oid, it->second, i};
       }
+      ++i;
     }
+  } else {
+    for (Oid oid : touched->oids) {
+      std::optional<size_t> first;
+      size_t i = 0;
+      for (const auto& [cls, oids] : class_oids_) {
+        (void)cls;
+        if (oids.count(oid)) {
+          if (!first.has_value()) {
+            first = i;
+          } else if (!same_hierarchy(*first, i)) {
+            clash = Clash{oid, *first, i};
+            break;
+          }
+        }
+        ++i;
+      }
+      if (clash.has_value()) break;
+    }
+  }
+  if (clash.has_value()) {
+    return Status::Inconsistent(
+        StrCat("oid #", clash->oid.id, " belongs to '", *names[clash->first],
+               "' and '", *names[clash->other],
+               "' which have no common ancestor (Definition 4b)"));
   }
 
   // nu conformance: each live oid's value projects into every owning
   // class's type; every owning class's oid must have an o-value.
   for (const auto& [cls, oids] : class_oids_) {
-    LOGRES_ASSIGN_OR_RETURN(Type tuple, schema.PredicateTuple(cls));
-    for (Oid oid : oids) {
-      auto it = ovalues_.find(oid);
-      if (it == ovalues_.end()) {
-        return Status::Inconsistent(
-            StrCat("oid #", oid.id, " of class '", cls,
-                   "' has no o-value"));
-      }
-      LOGRES_RETURN_NOT_OK(CheckValueConforms(
-          schema, it->second, tuple, /*allow_nil_refs=*/true,
-          StrCat(cls, "#", oid.id)));
+    if (touched != nullptr && !touched->class_keys.count(cls) &&
+        std::none_of(touched->oids.begin(), touched->oids.end(),
+                     [&](Oid oid) { return oids.count(oid) > 0; })) {
+      continue;
     }
+    LOGRES_ASSIGN_OR_RETURN(Type tuple, schema.PredicateTuple(cls));
+    LOGRES_RETURN_NOT_OK(
+        ForEachChecked(oids, touched, [&](Oid oid) -> Status {
+          auto it = ovalues_.find(oid);
+          if (it == ovalues_.end()) {
+            return Status::Inconsistent(
+                StrCat("oid #", oid.id, " of class '", cls,
+                       "' has no o-value"));
+          }
+          return CheckValueConforms(*this, schema, it->second, tuple,
+                                    /*allow_nil_refs=*/true,
+                                    ValuePath{nullptr, cls, &oid});
+        }));
   }
 
   // rho conformance: tuples match the association type; class components
   // must reference existing objects (nil forbidden).
   for (const auto& [assoc, tuples] : associations_) {
+    const std::vector<Value>* inserted = nullptr;
+    if (touched != nullptr) {
+      auto it = touched->tuples.find(assoc);
+      if (it != touched->tuples.end()) {
+        inserted = &it->second;
+      } else if (!touched->assoc_keys.count(assoc)) {
+        continue;
+      }
+    }
     if (!schema.IsAssociation(assoc)) {
       return Status::Inconsistent(
           StrCat("instance stores tuples for undeclared association '",
                  assoc, "'"));
     }
     LOGRES_ASSIGN_OR_RETURN(Type tuple_type, schema.PredicateTuple(assoc));
-    for (const Value& tuple : tuples) {
-      LOGRES_RETURN_NOT_OK(CheckValueConforms(
-          schema, tuple, tuple_type, /*allow_nil_refs=*/false, assoc));
+    const ValuePath path{nullptr, assoc};
+    auto check = [&](const Value& tuple) {
+      return CheckValueConforms(*this, schema, tuple, tuple_type,
+                                /*allow_nil_refs=*/false, path);
+    };
+    if (touched == nullptr) {
+      for (const Value& tuple : tuples) LOGRES_RETURN_NOT_OK(check(tuple));
+      continue;
     }
+    if (inserted == nullptr) continue;
+    // Touched tuples come in insertion order; the full check would report
+    // the smallest failing one.
+    const Value* smallest = nullptr;
+    Status failure;
+    for (const Value& tuple : *inserted) {
+      if (smallest != nullptr && !(tuple < *smallest)) continue;
+      if (!tuples.count(tuple)) continue;  // erased again later in the run
+      Status st = check(tuple);
+      if (!st.ok()) {
+        smallest = &tuple;
+        failure = std::move(st);
+      }
+    }
+    LOGRES_RETURN_NOT_OK(failure);
   }
   return Status::OK();
 }

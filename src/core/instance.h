@@ -32,6 +32,7 @@
 namespace logres {
 
 class UndoLog;
+struct TouchedItems;
 
 /// \brief The reserved tuple label carrying an object's oid when a tuple
 /// variable binds a whole object.
@@ -179,7 +180,14 @@ class Instance {
   /// \brief Definition 4 consistency: oid-set containment along isa,
   /// disjointness across hierarchies, o-value conformance, referential
   /// integrity of class components (nil allowed inside class values only).
-  Status CheckConsistent(const Schema& schema) const;
+  ///
+  /// With \p touched, only the oids, tuples and keys it names are checked
+  /// (DESIGN.md §15). That verdict equals the full one — same status, same
+  /// message — when this instance grew from a base that passes the full
+  /// check under \p schema, \p touched names everything the growth
+  /// inserted or rewrote, and nothing was erased (!touched->erased).
+  Status CheckConsistent(const Schema& schema,
+                         const TouchedItems* touched = nullptr) const;
 
   /// \brief Structural equality.
   bool operator==(const Instance& other) const {
@@ -195,10 +203,6 @@ class Instance {
   std::string ToString() const;
 
  private:
-  Status CheckValueConforms(const Schema& schema, const Value& value,
-                            const Type& type, bool allow_nil_refs,
-                            const std::string& context) const;
-
   void InvalidateAssocIndexes(const std::string& assoc);
 
   // pi membership updates shared by AdoptObject/RemoveObject, preserving

@@ -108,6 +108,32 @@ Status Schema::Merge(const Schema& other) {
   return Status::OK();
 }
 
+bool Schema::ExtendsWithAssociations(const Schema& base) const {
+  auto same_isa = [](const IsaDecl& a, const IsaDecl& b) {
+    return a.sub == b.sub && a.super == b.super &&
+           a.component_label == b.component_label;
+  };
+  if (!std::equal(isa_decls_.begin(), isa_decls_.end(),
+                  base.isa_decls_.begin(), base.isa_decls_.end(),
+                  same_isa) ||
+      renames_ != base.renames_) {
+    return false;
+  }
+  size_t shared = 0;
+  for (const auto& [name, decl] : decls_) {
+    auto it = base.decls_.find(name);
+    if (it == base.decls_.end()) {
+      if (decl.kind != DeclKind::kAssociation) return false;
+      continue;
+    }
+    if (it->second.kind != decl.kind || it->second.type != decl.type) {
+      return false;
+    }
+    ++shared;
+  }
+  return shared == base.decls_.size();
+}
+
 bool Schema::Has(const std::string& name) const {
   return decls_.count(name) > 0;
 }

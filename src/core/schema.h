@@ -87,6 +87,13 @@ class Schema {
   /// an identical re-declaration is a no-op.
   Status Merge(const Schema& other);
 
+  /// \brief True when this schema is \p base plus zero or more association
+  /// declarations: same domains, classes, isa edges and renames, and every
+  /// declaration of \p base unchanged. An instance consistent under
+  /// \p base is then consistent under this schema too (Definition 4 only
+  /// consults the declarations its facts use).
+  bool ExtendsWithAssociations(const Schema& base) const;
+
   // ---- Lookup -------------------------------------------------------------
   bool Has(const std::string& name) const;
   bool IsDomain(const std::string& name) const;

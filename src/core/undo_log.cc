@@ -63,6 +63,35 @@ void UndoLog::InstanceReplaced(std::unique_ptr<Instance> previous) {
   records_.emplace_back(std::move(previous));
 }
 
+void TouchedItems::Add(const UndoLog& log) {
+  for (size_t i = 0; i < log.size(); ++i) {
+    const UndoRecord& rec = log[i];
+    switch (rec.kind) {
+      case UndoRecord::Kind::kClassKeyCreated:
+        class_keys.insert(rec.name);
+        break;
+      case UndoRecord::Kind::kOidInserted:
+      case UndoRecord::Kind::kOValueCreated:
+      case UndoRecord::Kind::kOValueSet:
+        oids.insert(rec.oid);
+        break;
+      case UndoRecord::Kind::kAssocKeyCreated:
+        assoc_keys.insert(rec.name);
+        break;
+      case UndoRecord::Kind::kTupleInserted:
+        tuples[rec.name].push_back(rec.value);
+        break;
+      case UndoRecord::Kind::kTupleErased:
+        break;
+      case UndoRecord::Kind::kOidErased:
+      case UndoRecord::Kind::kOValueErased:
+      case UndoRecord::Kind::kInstanceReplaced:
+        erased = true;
+        break;
+    }
+  }
+}
+
 void PreImageTracker::Sync() {
   for (; cursor_ < log_->size(); ++cursor_) {
     const UndoRecord& rec = (*log_)[cursor_];

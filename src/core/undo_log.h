@@ -112,6 +112,30 @@ class UndoLog {
   std::vector<UndoRecord> records_;
 };
 
+/// \brief The items an evaluation inserted or rewrote relative to the
+/// instance it started from, gathered from the undo records each step
+/// writes: what Instance::CheckConsistent needs to re-check after the run
+/// when the starting instance was already consistent (DESIGN.md §15).
+/// Erased tuples need no re-check (dropping a tuple cannot break Definition
+/// 4); an erased oid or o-value can leave dangling references anywhere, so
+/// it only sets `erased`, which asks for the full check.
+struct TouchedItems {
+  /// Oids that entered some class or whose o-value was created or set.
+  std::set<Oid> oids;
+  /// association -> tuples inserted into it, in log order (some may be
+  /// gone again, some listed twice).
+  std::map<std::string, std::vector<Value>> tuples;
+  /// pi/rho keys created (possibly left empty).
+  std::set<std::string> class_keys;
+  std::set<std::string> assoc_keys;
+  /// Some oid left a class, an o-value was dropped, or the instance was
+  /// replaced wholesale.
+  bool erased = false;
+
+  /// \brief Folds in the records of \p log.
+  void Add(const UndoLog& log);
+};
+
 /// \brief The canonical difference of an instance relative to the base
 /// state its undo log started from. Only genuinely differing items appear
 /// (a touched item whose current state equals its pre-image is omitted),

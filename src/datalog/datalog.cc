@@ -291,9 +291,12 @@ std::vector<size_t> ScheduleLiterals(const Rule& rule, size_t delta_pos) {
 // Evaluates one rule against `db`; for semi-naive evaluation, at least one
 // positive body literal must match within `delta` (pass nullptr for
 // naive). Positive literals with a bound position probe `indexes` instead
-// of scanning their whole relation.
-void FireRule(const Rule& rule, const Database& db, const Database* delta,
-              IndexCache* indexes, std::set<Fact>* out) {
+// of scanning their whole relation. The governor's cancellation and
+// deadline are polled every 1024 firings, so an interrupt lands inside one
+// long join rather than at the next round.
+Status FireRule(const Rule& rule, const Database& db, const Database* delta,
+                IndexCache* indexes, const ResourceGovernor& governor,
+                std::set<Fact>* out) {
   // Choose which positive literal is forced into the delta (all choices).
   std::vector<size_t> positive_positions;
   for (size_t i = 0; i < rule.body.size(); ++i) {
@@ -303,9 +306,13 @@ void FireRule(const Rule& rule, const Database& db, const Database* delta,
   // Recursive join over body literals, in schedule order.
   std::vector<size_t> order;
   std::vector<std::string> trail;
+  size_t fired = 0;
+  Status interrupted;
   auto join = [&](auto&& self, size_t k, Bindings& bindings,
                   size_t delta_pos) -> void {
+    if (!interrupted.ok()) return;
     if (k == order.size()) {
+      if ((++fired & 1023u) == 0) interrupted = governor.CheckInterrupt();
       out->insert(Instantiate(rule.head, bindings));
       return;
     }
@@ -342,14 +349,19 @@ void FireRule(const Rule& rule, const Database& db, const Database* delta,
         }
         if (key == nullptr) continue;
         auto [lo, hi] = indexes->At(lit.predicate, i).equal_range(*key);
-        for (auto it = lo; it != hi; ++it) try_fact(*it->second);
+        for (auto it = lo; it != hi && interrupted.ok(); ++it) {
+          try_fact(*it->second);
+        }
         return;
       }
     }
     const std::set<Fact>& source = from_delta
                                        ? FactsOf(*delta, lit.predicate)
                                        : FactsOf(db, lit.predicate);
-    for (const Fact& fact : source) try_fact(fact);
+    for (const Fact& fact : source) {
+      if (!interrupted.ok()) return;
+      try_fact(fact);
+    }
   };
 
   if (delta == nullptr) {
@@ -371,6 +383,7 @@ void FireRule(const Rule& rule, const Database& db, const Database* delta,
       join(join, 0, bindings, kNoDeltaPos);
     }
   }
+  return interrupted;
 }
 
 size_t TotalSize(const Database& db) {
@@ -442,7 +455,8 @@ Result<Database> Evaluate(const Program& program, const EvalOptions& options) {
         size_t before = TotalSize(db);
         for (const Rule* rule : stratum_rules) {
           std::set<Fact> produced;
-          FireRule(*rule, db, nullptr, &indexes, &produced);
+          LOGRES_RETURN_NOT_OK(
+              FireRule(*rule, db, nullptr, &indexes, governor, &produced));
           auto& target = db[rule->head.predicate];
           size_t had = target.size();
           target.insert(produced.begin(), produced.end());
@@ -465,7 +479,8 @@ Result<Database> Evaluate(const Program& program, const EvalOptions& options) {
         Database next_delta;
         for (const Rule* rule : stratum_rules) {
           std::set<Fact> produced;
-          FireRule(*rule, db, frontier, &indexes, &produced);
+          LOGRES_RETURN_NOT_OK(
+              FireRule(*rule, db, frontier, &indexes, governor, &produced));
           for (const Fact& f : produced) {
             if (!db[rule->head.predicate].count(f)) {
               next_delta[rule->head.predicate].insert(f);

@@ -13,6 +13,7 @@
 #include "core/eval.h"
 #include "core/parser.h"
 #include "core/typecheck.h"
+#include "datalog/datalog.h"
 #include "util/failpoint.h"
 #include "util/governor.h"
 
@@ -679,6 +680,144 @@ TEST(MidStepInterrupt, SecondThreadCancelLandsInsideOneLongStep) {
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << result.status();
   EXPECT_LT(returned_at - cancelled_at, kInterruptLatencyBound);
   EXPECT_EQ(DumpDatabase(*db), before);
+}
+
+// The same two interrupts against the other two engines. The ALGRES
+// backend builds the cross product as one relational join inside a
+// round; the flat Datalog engine enumerates it inside one round. Both
+// poll the governor every 1024 rows/firings. Their inputs are const, so
+// "rollback" means the input is untouched.
+
+// Smaller than kSide: the backend materializes the product's rows, so
+// 80^3 (512 K rows) already takes seconds when nothing interrupts it.
+constexpr int kAlgresSide = 80;
+
+struct AlgresCross {
+  Database db;
+  Schema schema;
+  CheckedProgram program;
+};
+
+Result<AlgresCross> MakeAlgresCross() {
+  LOGRES_ASSIGN_OR_RETURN(Database db, Database::Create(kCrossSchema));
+  for (int i = 0; i < kAlgresSide; ++i) {
+    LOGRES_RETURN_NOT_OK(
+        db.InsertTuple("A", Value::MakeTuple({{"x", Value::Int(i)}})));
+    LOGRES_RETURN_NOT_OK(
+        db.InsertTuple("B", Value::MakeTuple({{"y", Value::Int(i)}})));
+    LOGRES_RETURN_NOT_OK(
+        db.InsertTuple("C", Value::MakeTuple({{"z", Value::Int(i)}})));
+  }
+  LOGRES_ASSIGN_OR_RETURN(ParsedUnit unit, Parse(kCrossRules));
+  Schema schema = db.schema();
+  LOGRES_ASSIGN_OR_RETURN(CheckedProgram program,
+                          Typecheck(schema, {}, unit.rules));
+  return AlgresCross{std::move(db), std::move(schema), std::move(program)};
+}
+
+datalog::Program MakeDatalogCross() {
+  datalog::Program program;
+  for (int i = 0; i < kSide; ++i) {
+    for (const char* pred : {"a", "b", "c"}) {
+      EXPECT_TRUE(program.AddFact(pred, {datalog::Constant::Int(i)}).ok());
+    }
+  }
+  datalog::Rule rule;
+  rule.head = {"hit", {datalog::Term::Var("X")}};
+  rule.body = {{"a", {datalog::Term::Var("X")}},
+               {"b", {datalog::Term::Var("Y")}},
+               {"c", {datalog::Term::Var("Z")}}};
+  EXPECT_TRUE(program.AddRule(std::move(rule)).ok());
+  return program;
+}
+
+// Runs `run` while another thread cancels `source` after 20 ms; returns
+// the status and how long after the cancel `run` returned.
+template <typename Run>
+std::pair<Status, std::chrono::steady_clock::duration> RunAndCancel(
+    CancellationSource* source, Run run) {
+  std::chrono::steady_clock::time_point cancelled_at;
+  std::thread canceller([source, &cancelled_at]() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    cancelled_at = std::chrono::steady_clock::now();
+    source->Cancel();
+  });
+  Status status = run();
+  auto returned_at = std::chrono::steady_clock::now();
+  canceller.join();
+  return {status, returned_at - cancelled_at};
+}
+
+TEST(MidStepInterrupt, AlgresDeadlineLandsInsideOneLongJoin) {
+  auto setup = MakeAlgresCross();
+  ASSERT_TRUE(setup.ok()) << setup.status();
+  const std::string before = DumpDatabase(setup->db);
+  auto backend = AlgresBackend::Compile(setup->schema, setup->program);
+  ASSERT_TRUE(backend.ok()) << backend.status();
+  for (auto strategy :
+       {AlgresStrategy::kNaive, AlgresStrategy::kSemiNaive}) {
+    Budget budget;
+    budget.timeout = std::chrono::milliseconds(20);
+    auto started = std::chrono::steady_clock::now();
+    auto out = backend->Run(setup->db.edb(), strategy, budget);
+    auto elapsed = std::chrono::steady_clock::now() - started;
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted)
+        << out.status();
+    EXPECT_LT(elapsed, kInterruptLatencyBound);
+  }
+  EXPECT_EQ(DumpDatabase(setup->db), before);
+}
+
+TEST(MidStepInterrupt, AlgresSecondThreadCancelLandsInsideOneLongJoin) {
+  auto setup = MakeAlgresCross();
+  ASSERT_TRUE(setup.ok()) << setup.status();
+  const std::string before = DumpDatabase(setup->db);
+  auto backend = AlgresBackend::Compile(setup->schema, setup->program);
+  ASSERT_TRUE(backend.ok()) << backend.status();
+  CancellationSource source;
+  Budget budget;
+  budget.cancel = source.token();
+  auto [status, latency] = RunAndCancel(&source, [&] {
+    return backend->Run(setup->db.edb(), AlgresStrategy::kSemiNaive, budget)
+        .status();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status;
+  EXPECT_LT(latency, kInterruptLatencyBound);
+  EXPECT_EQ(DumpDatabase(setup->db), before);
+}
+
+TEST(MidStepInterrupt, DatalogDeadlineLandsInsideOneLongRound) {
+  const datalog::Program program = MakeDatalogCross();
+  const auto before = program.edb();
+  for (auto strategy :
+       {datalog::EvalStrategy::kNaive, datalog::EvalStrategy::kSemiNaive}) {
+    datalog::EvalOptions options;
+    options.strategy = strategy;
+    options.budget.timeout = std::chrono::milliseconds(20);
+    auto started = std::chrono::steady_clock::now();
+    auto out = datalog::Evaluate(program, options);
+    auto elapsed = std::chrono::steady_clock::now() - started;
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted)
+        << out.status();
+    EXPECT_LT(elapsed, kInterruptLatencyBound);
+  }
+  EXPECT_EQ(program.edb(), before);
+}
+
+TEST(MidStepInterrupt, DatalogSecondThreadCancelLandsInsideOneLongRound) {
+  const datalog::Program program = MakeDatalogCross();
+  const auto before = program.edb();
+  CancellationSource source;
+  datalog::EvalOptions options;
+  options.budget.cancel = source.token();
+  auto [status, latency] = RunAndCancel(&source, [&] {
+    return datalog::Evaluate(program, options).status();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status;
+  EXPECT_LT(latency, kInterruptLatencyBound);
+  EXPECT_EQ(program.edb(), before);
 }
 
 // The only test of a cancellation that arrives from another thread while
