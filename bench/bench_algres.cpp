@@ -10,6 +10,8 @@
 namespace logres::algres {
 namespace {
 
+using bench::Failed;
+
 Relation Numbers(int64_t n) {
   Relation r({"x", "y"});
   for (int64_t i = 0; i < n; ++i) {
@@ -44,7 +46,7 @@ void BM_B7_EquiJoin(benchmark::State& state) {
       Rename(Numbers(state.range(0)), {{"x", "y2"}, {"y", "z"}}).value();
   for (auto _ : state) {
     auto out = EquiJoin(left, right, {{"y", "z"}});
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    if (Failed(state, out)) break;
     benchmark::DoNotOptimize(out->size());
   }
 }
@@ -88,7 +90,7 @@ void BM_B7_ClosureTc(benchmark::State& state) {
   };
   for (auto _ : state) {
     auto semi = SemiNaiveClosure(e, step);
-    if (!semi.ok()) state.SkipWithError(semi.status().ToString().c_str());
+    if (Failed(state, semi)) break;
     benchmark::DoNotOptimize(semi->size());
   }
 }

@@ -11,6 +11,8 @@
 namespace logres {
 namespace {
 
+using bench::Failed;
+
 struct Setup {
   Schema schema;
   Instance instance;
@@ -44,7 +46,7 @@ void BM_B5_NativeCheck(benchmark::State& state) {
   Setup setup = ReferencingInstance(64, state.range(0));
   for (auto _ : state) {
     auto status = setup.instance.CheckConsistent(setup.schema);
-    if (!status.ok()) state.SkipWithError(status.ToString().c_str());
+    if (Failed(state, status)) break;
   }
   state.counters["tuples"] = static_cast<double>(state.range(0));
 }
@@ -58,7 +60,7 @@ void BM_B5_RuleBasedCheck(benchmark::State& state) {
   for (auto _ : state) {
     Evaluator evaluator(setup.schema, program, &gen);
     auto run = evaluator.Run(setup.instance);
-    if (!run.ok()) state.SkipWithError(run.status().ToString().c_str());
+    if (Failed(state, run)) break;
     benchmark::DoNotOptimize(run->TotalFacts());
   }
   state.counters["tuples"] = static_cast<double>(state.range(0));
@@ -85,7 +87,10 @@ void BM_B5_RejectedUpdate(benchmark::State& state) {
     auto result = database.ApplySource(
         "rules not person(self X) <- person(self X, name: \"ann\").",
         ApplicationMode::kRIDV);
-    if (result.ok()) state.SkipWithError("expected rejection");
+    if (result.ok()) {
+      state.SkipWithError("expected rejection");
+      break;
+    }
     benchmark::DoNotOptimize(database.edb().TotalFacts());
   }
 }

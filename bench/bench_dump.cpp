@@ -9,6 +9,8 @@
 namespace logres {
 namespace {
 
+using bench::Failed;
+
 Database PopulatedDb(int64_t n) {
   auto db_result = Database::Create(R"(
     classes
@@ -55,9 +57,7 @@ void BM_B10_Load(benchmark::State& state) {
   std::string dump = DumpDatabase(db);
   for (auto _ : state) {
     auto loaded = LoadDatabase(dump);
-    if (!loaded.ok()) {
-      state.SkipWithError(loaded.status().ToString().c_str());
-    }
+    if (Failed(state, loaded)) break;
     benchmark::DoNotOptimize(loaded->edb().TotalFacts());
   }
 }
@@ -70,6 +70,7 @@ void BM_B10_RoundTripFidelity(benchmark::State& state) {
     auto loaded = LoadDatabase(DumpDatabase(db));
     if (!loaded.ok() || !(loaded->edb() == db.edb())) {
       state.SkipWithError("round trip failed");
+      break;
     }
   }
 }

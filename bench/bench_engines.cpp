@@ -11,6 +11,7 @@ namespace logres {
 namespace {
 
 using bench::EdgeDatabase;
+using bench::Failed;
 using bench::ForestEdges;
 
 // B2 — same-generation on a random forest, both engines.
@@ -43,7 +44,7 @@ void BM_B2_EvaluatorSameGen(benchmark::State& state) {
     OidGenerator gen;
     Evaluator evaluator(setup.db.schema(), setup.program, &gen);
     auto out = evaluator.Run(setup.db.edb());
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    if (Failed(state, out)) break;
     benchmark::DoNotOptimize(out->TuplesOf("SG").size());
   }
 }
@@ -55,7 +56,7 @@ void BM_B2_AlgresSameGen(benchmark::State& state) {
       AlgresBackend::Compile(setup.db.schema(), setup.program).value();
   for (auto _ : state) {
     auto out = backend.Run(setup.db.edb());
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    if (Failed(state, out)) break;
     benchmark::DoNotOptimize(out->TuplesOf("SG").size());
   }
 }
@@ -87,7 +88,7 @@ void RunStrata(benchmark::State& state, EvalMode mode) {
     OidGenerator gen;
     Evaluator evaluator(database.schema(), program, &gen);
     auto out = evaluator.Run(database.edb(), options);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    if (Failed(state, out)) break;
     benchmark::DoNotOptimize(out->TuplesOf("UNCOV").size());
   }
 }
@@ -126,7 +127,7 @@ void RunIndexAblation(benchmark::State& state, bool use_indexes) {
     OidGenerator gen;
     Evaluator evaluator(database.schema(), program, &gen);
     auto out = evaluator.Run(database.edb(), options);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    if (Failed(state, out)) break;
     benchmark::DoNotOptimize(out->TuplesOf("OUT").size());
   }
   state.counters["rows"] = static_cast<double>(n);

@@ -10,6 +10,8 @@
 namespace logres {
 namespace {
 
+using bench::Failed;
+
 // E1 — Example 2.1: build and validate the football database.
 void BM_E1_FootballBuild(benchmark::State& state) {
   int64_t teams = state.range(0);
@@ -28,7 +30,7 @@ void BM_E1_FootballQuery(benchmark::State& state) {
     auto ans = db.Query(
         "? team(self T, team_name: N, base_players: B), member(P, B), "
         "player(self P, roles: R), member(9, R).");
-    if (!ans.ok()) state.SkipWithError(ans.status().ToString().c_str());
+    if (Failed(state, ans)) break;
     benchmark::DoNotOptimize(ans->size());
   }
 }
@@ -67,7 +69,7 @@ void BM_E4_Descendants(benchmark::State& state) {
                               T = desc(Z).
         ancestor(anc: X, des: Y) <- parent(par: X), Y = desc(X).
     )", ApplicationMode::kRIDV);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(database.edb().TuplesOf("ANCESTOR").size());
   }
   state.counters["persons"] = static_cast<double>(n);
@@ -111,7 +113,7 @@ void BM_E3_UniversityUnification(benchmark::State& state) {
             professor(X1, name: X), student(Y1, name: X),
             advises(professor: X1, student: Y1).
     )", ApplicationMode::kRIDI);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(apply->instance.TuplesOf("PAIR").size());
   }
 }
@@ -134,7 +136,7 @@ void BM_E5_Powerset(benchmark::State& state) {
         power(set: X) <- r(d: Y), append({}, Y, X).
         power(set: X) <- power(set: Y), power(set: Z), union(X, Y, Z).
     )", ApplicationMode::kRIDV);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(database.edb().TuplesOf("POWER").size());
   }
   state.counters["subsets"] = static_cast<double>(1LL << n);
@@ -170,7 +172,7 @@ void BM_E6_InterestingPair(benchmark::State& state) {
             emp(self E, name: N, works: D), mgr(self M, name: N, dept: D).
         ip(self X, C) <- pair(C).
     )", ApplicationMode::kRIDV);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(database.edb().OidsOf("IP").size());
   }
 }

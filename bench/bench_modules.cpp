@@ -12,6 +12,8 @@
 namespace logres {
 namespace {
 
+using bench::Failed;
+
 Database FlatDb(int64_t n) {
   auto db = Database::Create(
       "associations ITALIAN = (name: string); ROMAN = (name: string);"
@@ -35,7 +37,7 @@ void BM_E7_RidvTrigger(benchmark::State& state) {
   for (auto _ : state) {
     Database db = FlatDb(0);
     auto apply = db.ApplySource(rules, ApplicationMode::kRIDV);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(db.edb().TuplesOf("ITALIAN").size());
   }
 }
@@ -58,7 +60,7 @@ void BM_E8_UpdateWithDeletion(benchmark::State& state) {
   for (auto _ : state) {
     Database db = FlatDb(n);
     auto apply = db.ApplySource(rules, ApplicationMode::kRIDV);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(db.edb().TuplesOf("P").size());
   }
   state.counters["tuples"] = static_cast<double>(n);
@@ -76,7 +78,7 @@ void RunMode(benchmark::State& state, ApplicationMode mode) {
       (void)db.ApplySource(rules, ApplicationMode::kRADI);
     }
     auto apply = db.ApplySource(rules, mode);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(apply->instance.TotalFacts());
   }
 }

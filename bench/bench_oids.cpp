@@ -8,6 +8,8 @@
 namespace logres {
 namespace {
 
+using bench::Failed;
+
 // Rule-driven invention: one object per source fact.
 void BM_B3_RuleInvention(benchmark::State& state) {
   int64_t n = state.range(0);
@@ -21,7 +23,7 @@ void BM_B3_RuleInvention(benchmark::State& state) {
     }
     auto apply = database.ApplySource(
         "rules obj(self O, x: X) <- s(x: X).", ApplicationMode::kRIDV);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(database.edb().OidsOf("OBJ").size());
   }
   state.counters["objects_per_iter"] = static_cast<double>(n);
@@ -61,7 +63,7 @@ void BM_B3_ChainedInvention(benchmark::State& state) {
         "rules a(self O, x: X) <- s(x: X)."
         "      b(self P, y: X) <- a(self O, x: X).",
         ApplicationMode::kRIDV);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     benchmark::DoNotOptimize(database.edb().OidsOf("B").size());
   }
 }

@@ -10,6 +10,8 @@
 namespace logres {
 namespace {
 
+using bench::Failed;
+
 // A linear hierarchy C0 isa C1 isa ... isa C_{depth-1}; each class adds
 // one field.
 Schema DeepHierarchy(int64_t depth) {
@@ -34,7 +36,7 @@ void BM_B4_ValidateDeepHierarchy(benchmark::State& state) {
   Schema s = DeepHierarchy(state.range(0));
   for (auto _ : state) {
     auto status = s.Validate();
-    if (!status.ok()) state.SkipWithError(status.ToString().c_str());
+    if (Failed(state, status)) break;
   }
   state.counters["depth"] = static_cast<double>(state.range(0));
 }
@@ -44,7 +46,7 @@ void BM_B4_EffectiveFieldsDeep(benchmark::State& state) {
   Schema s = DeepHierarchy(state.range(0));
   for (auto _ : state) {
     auto fields = s.EffectiveFields("C0");
-    if (!fields.ok()) state.SkipWithError(fields.status().ToString().c_str());
+    if (Failed(state, fields)) break;
     benchmark::DoNotOptimize(fields->size());
   }
 }
@@ -56,7 +58,7 @@ void BM_B4_RefinementDeep(benchmark::State& state) {
   std::string root = StrCat("C", state.range(0) - 1);
   for (auto _ : state) {
     auto r = s.IsRefinement(Type::Named(leaf), Type::Named(root));
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    if (Failed(state, r)) break;
     benchmark::DoNotOptimize(r.value());
   }
 }
@@ -105,7 +107,7 @@ void BM_B4_ConsistencyDeep(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto status = inst.CheckConsistent(s);
-    if (!status.ok()) state.SkipWithError(status.ToString().c_str());
+    if (Failed(state, status)) break;
   }
 }
 BENCHMARK(BM_B4_ConsistencyDeep)->Arg(2)->Arg(8)->Arg(32);

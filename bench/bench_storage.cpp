@@ -23,6 +23,8 @@
 namespace logres {
 namespace {
 
+using bench::Failed;
+
 const char* kSchema = R"(
   classes OBJ = (x: integer);
   associations S = (x: integer);
@@ -45,7 +47,7 @@ void BM_B11_ApplyPlain(benchmark::State& state) {
   auto db = Database::Create(kSchema);
   for (auto _ : state) {
     auto r = db->ApplySource(ApplyModule(i++), ApplicationMode::kRIDV);
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    if (Failed(state, r)) break;
     benchmark::DoNotOptimize(r->stats.facts);
   }
   state.SetItemsProcessed(state.iterations());
@@ -59,13 +61,10 @@ void BM_B11_ApplyJournaled(benchmark::State& state) {
   StorageOptions opts;
   opts.checkpoint_interval = 0;  // measure pure append cost
   auto store = JournaledDatabase::Create(FreshDir(), kSchema, opts);
-  if (!store.ok()) {
-    state.SkipWithError(store.status().ToString().c_str());
-    return;
-  }
+  if (Failed(state, store)) return;
   for (auto _ : state) {
     auto r = store->ApplySource(ApplyModule(i++), ApplicationMode::kRIDV);
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    if (Failed(state, r)) break;
     benchmark::DoNotOptimize(r->stats.facts);
   }
   state.SetItemsProcessed(state.iterations());
@@ -77,17 +76,14 @@ void BM_B11_Checkpoint(benchmark::State& state) {
   StorageOptions opts;
   opts.checkpoint_interval = 0;
   auto store = JournaledDatabase::Create(FreshDir(), kSchema, opts);
-  if (!store.ok()) {
-    state.SkipWithError(store.status().ToString().c_str());
-    return;
-  }
+  if (Failed(state, store)) return;
   for (int i = 0; i < state.range(0); ++i) {
     auto r = store->ApplySource(ApplyModule(i), ApplicationMode::kRIDV);
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    if (Failed(state, r)) return;
   }
   for (auto _ : state) {
     Status st = store->Checkpoint();
-    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+    if (Failed(state, st)) break;
   }
 }
 BENCHMARK(BM_B11_Checkpoint)->Arg(16)->Arg(64)->Arg(256);
@@ -100,21 +96,15 @@ void BM_B11_RecoverReplay(benchmark::State& state) {
   opts.checkpoint_interval = 0;
   {
     auto store = JournaledDatabase::Create(dir, kSchema, opts);
-    if (!store.ok()) {
-      state.SkipWithError(store.status().ToString().c_str());
-      return;
-    }
+    if (Failed(state, store)) return;
     for (int i = 0; i < state.range(0); ++i) {
       auto r = store->ApplySource(ApplyModule(i), ApplicationMode::kRIDV);
-      if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+      if (Failed(state, r)) return;
     }
   }
   for (auto _ : state) {
     auto reopened = JournaledDatabase::Open(dir, opts);
-    if (!reopened.ok()) {
-      state.SkipWithError(reopened.status().ToString().c_str());
-      return;
-    }
+    if (Failed(state, reopened)) return;
     benchmark::DoNotOptimize(reopened->status().replayed_at_open);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -133,20 +123,17 @@ void BM_B12_RecoverFallback(benchmark::State& state) {
   opts.rotated_journals_keep = 3;
   {
     auto store = JournaledDatabase::Create(dir, kSchema, opts);
-    if (!store.ok()) {
-      state.SkipWithError(store.status().ToString().c_str());
-      return;
-    }
+    if (Failed(state, store)) return;
     // Four generations (HEAD seq 4 + CHECKPOINT.{1,2,3}.old with their
     // rotated journals) and one live-journal tail record.
     for (int i = 0; i < 4; ++i) {
       auto r = store->ApplySource(ApplyModule(i), ApplicationMode::kRIDV);
-      if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+      if (Failed(state, r)) return;
       Status st = store->Checkpoint();
-      if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+      if (Failed(state, st)) return;
     }
     auto r = store->ApplySource(ApplyModule(99), ApplicationMode::kRIDV);
-    if (!r.ok()) state.SkipWithError(r.status().ToString().c_str());
+    if (Failed(state, r)) return;
   }
   const auto depth = static_cast<uint64_t>(state.range(0));
   const std::string targets[] = {dir + "/CHECKPOINT",
@@ -164,10 +151,7 @@ void BM_B12_RecoverFallback(benchmark::State& state) {
   }
   for (auto _ : state) {
     auto reopened = JournaledDatabase::Open(dir, opts);
-    if (!reopened.ok()) {
-      state.SkipWithError(reopened.status().ToString().c_str());
-      return;
-    }
+    if (Failed(state, reopened)) return;
     if (reopened->status().recovered_fallback_depth != depth) {
       state.SkipWithError("unexpected fallback depth");
       return;

@@ -22,6 +22,7 @@ namespace {
 
 using bench::ChainEdges;
 using bench::EdgeDatabase;
+using bench::Failed;
 using bench::RandomEdges;
 using bench::ScaleFreeEdges;
 
@@ -36,7 +37,7 @@ void RunLogres(benchmark::State& state, bool semi_naive,
     Database fresh = EdgeDatabase(edges);
     auto apply = fresh.ApplySource(bench::kTcRules,
                                    ApplicationMode::kRIDV, options);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     result_size = fresh.edb().TuplesOf("TC").size();
   }
   state.counters["tc_tuples"] = static_cast<double>(result_size);
@@ -83,7 +84,7 @@ void RunReachNoninf(benchmark::State& state, int64_t n, bool intern_values) {
         "reach(n: X) <- seed(n: X)."
         "reach(n: Y) <- reach(n: X), e(a: X, b: Y), Y <= 32.",
         ApplicationMode::kRIDV, options);
-    if (!apply.ok()) state.SkipWithError(apply.status().ToString().c_str());
+    if (Failed(state, apply)) break;
     result_size = db->edb().TuplesOf("REACH").size();
   }
   state.counters["tc_tuples"] = static_cast<double>(result_size);
@@ -136,14 +137,11 @@ void RunAlgres(benchmark::State& state, AlgresStrategy strategy,
   auto unit = Parse(bench::kTcRules);
   auto program = Typecheck(db.schema(), {}, unit->rules);
   auto backend = AlgresBackend::Compile(db.schema(), *program);
-  if (!backend.ok()) {
-    state.SkipWithError(backend.status().ToString().c_str());
-    return;
-  }
+  if (Failed(state, backend)) return;
   size_t result_size = 0;
   for (auto _ : state) {
     auto out = backend->Run(db.edb(), strategy, Budget{}, intern_values);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    if (Failed(state, out)) break;
     result_size = out->TuplesOf("TC").size();
   }
   state.counters["tc_tuples"] = static_cast<double>(result_size);
@@ -190,7 +188,7 @@ void RunDatalog(benchmark::State& state, datalog::EvalStrategy strategy,
   size_t result_size = 0;
   for (auto _ : state) {
     auto db = Evaluate(p, options);
-    if (!db.ok()) state.SkipWithError(db.status().ToString().c_str());
+    if (Failed(state, db)) break;
     result_size = db->at("tc").size();
   }
   state.counters["tc_tuples"] = static_cast<double>(result_size);
@@ -253,7 +251,7 @@ void RunLogresGoalDirected(benchmark::State& state,
   EvalStats stats;
   for (auto _ : state) {
     auto out = db.Query(goal, options, &stats);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    if (Failed(state, out)) break;
     answers = out->size();
   }
   state.counters["tc_tuples"] = static_cast<double>(answers);
@@ -265,10 +263,7 @@ void RunAlgresGoalDirected(benchmark::State& state,
                            int64_t source, bool goal_directed) {
   Database db = EdgeRuleDatabase(edges);
   auto goal = ParseGoal("? tc(a: " + std::to_string(source) + ", b: X).");
-  if (!goal.ok()) {
-    state.SkipWithError(goal.status().ToString().c_str());
-    return;
-  }
+  if (Failed(state, goal)) return;
   EvalOptions options;
   options.goal_directed = goal_directed;
   size_t answers = 0;
@@ -277,41 +272,11 @@ void RunAlgresGoalDirected(benchmark::State& state,
     auto out = AlgresBackend::QueryGoal(db.schema(), db.functions(),
                                         db.rules(), db.edb(), *goal,
                                         options, &stats);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
+    if (Failed(state, out)) break;
     answers = out->size();
   }
   state.counters["tc_tuples"] = static_cast<double>(answers);
   state.counters["evaluated_facts"] = static_cast<double>(stats.facts);
-}
-
-void RunDatalogGoalDirected(benchmark::State& state,
-                            std::vector<std::pair<int64_t, int64_t>> edges,
-                            int64_t source, bool goal_directed) {
-  namespace dl = datalog;
-  dl::Program p;
-  for (const auto& [a, b] : edges) {
-    (void)p.AddFact("edge", {dl::Constant::Int(a), dl::Constant::Int(b)});
-  }
-  auto var = [](const char* name) { return dl::Term::Var(name); };
-  dl::Rule r1;
-  r1.head = dl::Literal{"tc", {var("X"), var("Y")}, false};
-  r1.body = {dl::Literal{"edge", {var("X"), var("Y")}, false}};
-  dl::Rule r2;
-  r2.head = dl::Literal{"tc", {var("X"), var("Z")}, false};
-  r2.body = {dl::Literal{"tc", {var("X"), var("Y")}, false},
-             dl::Literal{"edge", {var("Y"), var("Z")}, false}};
-  (void)p.AddRule(r1);
-  (void)p.AddRule(r2);
-  dl::Literal goal{"tc", {dl::Term::Int(source), var("X")}, false};
-  dl::EvalOptions options;
-  options.goal_directed = goal_directed;
-  size_t answers = 0;
-  for (auto _ : state) {
-    auto out = dl::Query(p, goal, options);
-    if (!out.ok()) state.SkipWithError(out.status().ToString().c_str());
-    answers = out->size();
-  }
-  state.counters["tc_tuples"] = static_cast<double>(answers);
 }
 
 void BM_LogresChainGoalDirected(benchmark::State& state) {
@@ -324,11 +289,6 @@ void BM_AlgresChainGoalDirected(benchmark::State& state) {
                         GoalSource(state.range(0), state.range(1)),
                         state.range(2) != 0);
 }
-void BM_DatalogChainGoalDirected(benchmark::State& state) {
-  RunDatalogGoalDirected(state, ChainEdges(state.range(0)),
-                         GoalSource(state.range(0), state.range(1)),
-                         state.range(2) != 0);
-}
 #define LOGRES_GD_CHAIN_ARGS(n) \
     ->Args({n, 0, 1})->Args({n, 0, 0})->Args({n, 1, 1})->Args({n, 100, 1})
 BENCHMARK(BM_LogresChainGoalDirected)
@@ -336,10 +296,6 @@ BENCHMARK(BM_LogresChainGoalDirected)
     LOGRES_GD_CHAIN_ARGS(1024)
     LOGRES_GD_CHAIN_ARGS(4096);
 BENCHMARK(BM_AlgresChainGoalDirected)
-    LOGRES_GD_CHAIN_ARGS(256)
-    LOGRES_GD_CHAIN_ARGS(1024)
-    LOGRES_GD_CHAIN_ARGS(4096);
-BENCHMARK(BM_DatalogChainGoalDirected)
     LOGRES_GD_CHAIN_ARGS(256)
     LOGRES_GD_CHAIN_ARGS(1024)
     LOGRES_GD_CHAIN_ARGS(4096);
@@ -366,18 +322,12 @@ void BM_AlgresScaleFreeGoalDirected(benchmark::State& state) {
                         ScaleFreeSource(state.range(0), state.range(1)),
                         state.range(2) != 0);
 }
-void BM_DatalogScaleFreeGoalDirected(benchmark::State& state) {
-  RunDatalogGoalDirected(state, ScaleFreeEdges(state.range(0)),
-                         ScaleFreeSource(state.range(0), state.range(1)),
-                         state.range(2) != 0);
-}
 #define LOGRES_GD_SCALEFREE_ARGS \
     LOGRES_GD_CHAIN_ARGS(256) \
     LOGRES_GD_CHAIN_ARGS(1024) \
     ->Args({4096, 0, 1})->Args({4096, 1, 1})->Args({4096, 100, 1})
 BENCHMARK(BM_LogresScaleFreeGoalDirected) LOGRES_GD_SCALEFREE_ARGS;
 BENCHMARK(BM_AlgresScaleFreeGoalDirected) LOGRES_GD_SCALEFREE_ARGS;
-BENCHMARK(BM_DatalogScaleFreeGoalDirected) LOGRES_GD_SCALEFREE_ARGS;
 
 }  // namespace
 }  // namespace logres

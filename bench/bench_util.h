@@ -14,9 +14,25 @@
 #include <random>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "core/database.h"
 
 namespace logres::bench {
+
+/// \brief Reports a failed \p status as the series' error and returns
+/// true, so the caller leaves its loop before touching the failed result:
+/// `if (Failed(state, out)) break;`.
+inline bool Failed(benchmark::State& state, const Status& status) {
+  if (status.ok()) return false;
+  state.SkipWithError(status.ToString().c_str());
+  return true;
+}
+
+template <typename T>
+bool Failed(benchmark::State& state, const Result<T>& result) {
+  return Failed(state, result.status());
+}
 
 /// \brief Deterministic PRNG so benchmark inputs are reproducible.
 inline std::mt19937_64 Rng(uint64_t seed = 0xC0FFEE) {

@@ -50,7 +50,12 @@ trap 'rm -f "$TC_JSON" "$ENGINES_JSON" "$STORAGE_JSON"' EXIT
   >"$ENGINES_JSON"
 "$BUILD/bench/bench_storage" "${COMMON_ARGS[@]}" >"$STORAGE_JSON"
 
-python3 - "$TC_JSON" "$ENGINES_JSON" "$OUT" <<'EOF'
+# Each distiller writes its records, then exits non-zero if any series
+# reported an error (google-benchmark's error_occurred), so a failing
+# series fails the run; both distillers run either way.
+STATUS=0
+
+python3 - "$TC_JSON" "$ENGINES_JSON" "$OUT" <<'EOF' || STATUS=1
 import json
 import re
 import sys
@@ -58,6 +63,7 @@ import sys
 tc_path, engines_path, out_path = sys.argv[1:4]
 
 records = []
+errors = []
 
 def wall_ms(b):
     unit = b.get("time_unit", "ns")
@@ -78,13 +84,15 @@ tc_interned = re.compile(
 # baseline. rows is the answer count; the cone-vs-closure work shows in
 # wall_ms.
 tc_goal = re.compile(
-    r"BM_(Logres|Algres|Datalog)(Chain|ScaleFree)GoalDirected"
+    r"BM_(Logres|Algres)(Chain|ScaleFree)GoalDirected"
     r"/(\d+)/(\d+)/([01])")
 
 def workload_key(workload):
     return "scale_free" if workload == "ScaleFree" else workload.lower()
 
 for b in json.load(open(tc_path))["benchmarks"]:
+    if b.get("error_occurred"):
+        errors.append(f'{b["name"]}: {b.get("error_message", "")}')
     m = tc_name.fullmatch(b["name"])
     if m:
         engine, workload, strategy, n = m.groups()
@@ -130,6 +138,8 @@ for b in json.load(open(tc_path))["benchmarks"]:
 # bench_engines names: BM_B<k>_<Variant>/<n>
 eng_name = re.compile(r"BM_(B\d+)_(\w+)/(\d+)")
 for b in json.load(open(engines_path))["benchmarks"]:
+    if b.get("error_occurred"):
+        errors.append(f'{b["name"]}: {b.get("error_message", "")}')
     m = eng_name.fullmatch(b["name"])
     if not m:
         continue
@@ -145,9 +155,12 @@ for b in json.load(open(engines_path))["benchmarks"]:
 
 json.dump(records, open(out_path, "w"), indent=2)
 print(f"wrote {len(records)} records to {out_path}")
+for e in errors:
+    print(f"benchmark error: {e}", file=sys.stderr)
+sys.exit(1 if errors else 0)
 EOF
 
-python3 - "$STORAGE_JSON" "$STORAGE_OUT" <<'EOF'
+python3 - "$STORAGE_JSON" "$STORAGE_OUT" <<'EOF' || STATUS=1
 import json
 import re
 import sys
@@ -165,7 +178,10 @@ def wall_ms(b):
 # B12_RecoverFallback.
 name = re.compile(r"BM_(B\d+)_(\w+?)(?:/(\d+))?")
 records = []
+errors = []
 for b in json.load(open(storage_path))["benchmarks"]:
+    if b.get("error_occurred"):
+        errors.append(f'{b["name"]}: {b.get("error_message", "")}')
     m = name.fullmatch(b["name"])
     if not m:
         continue
@@ -179,4 +195,9 @@ for b in json.load(open(storage_path))["benchmarks"]:
 
 json.dump(records, open(out_path, "w"), indent=2)
 print(f"wrote {len(records)} records to {out_path}")
+for e in errors:
+    print(f"benchmark error: {e}", file=sys.stderr)
+sys.exit(1 if errors else 0)
 EOF
+
+exit "$STATUS"

@@ -842,6 +842,31 @@ std::string Value::ToString() const {
   return "?";
 }
 
+uint64_t MaxOidIn(const Value& value) {
+  uint64_t max_id = 0;
+  switch (value.kind()) {
+    case ValueKind::kOid:
+      max_id = value.oid_value().id;
+      break;
+    case ValueKind::kTuple:
+      for (const auto& [label, v] : value.tuple_fields()) {
+        (void)label;
+        max_id = std::max(max_id, MaxOidIn(v));
+      }
+      break;
+    case ValueKind::kSet:
+    case ValueKind::kMultiset:
+    case ValueKind::kSequence:
+      for (const Value& v : value.elements()) {
+        max_id = std::max(max_id, MaxOidIn(v));
+      }
+      break;
+    default:
+      break;
+  }
+  return max_id;
+}
+
 // ---- ValueInterner facade (declared in algres/interner.h) --------------
 
 bool ValueInterner::enabled() {

@@ -273,6 +273,11 @@ struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
 
+/// \brief The largest oid id mentioned anywhere in \p value (0 when
+/// none): how far an oid generator must have advanced before \p value can
+/// be stored without a later invented oid colliding with it.
+uint64_t MaxOidIn(const Value& value);
+
 }  // namespace logres
 
 #endif  // LOGRES_ALGRES_VALUE_H_

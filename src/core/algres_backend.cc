@@ -775,30 +775,12 @@ Result<std::vector<Bindings>> AlgresBackend::QueryGoal(
     if (mr.applied) {
       Result<AlgresBackend> backend = Compile(mr.schema, mr.checked);
       if (backend.ok()) {
-        Instance seeded = edb;
-        for (const auto& [assoc, tuple] : mr.seeds) {
-          seeded.InsertTuple(assoc, tuple);
-        }
         LOGRES_ASSIGN_OR_RETURN(
             Instance demanded,
-            backend->Run(seeded, strategy, options.budget,
+            backend->Run(SeedDemand(mr, edb), strategy, options.budget,
                          options.intern_values));
-        if (stats != nullptr) {
-          stats->magic_rules = mr.magic_rule_count;
-          stats->demand_facts = CountMagicFacts(demanded);
-        }
-        StripMagicFacts(&demanded);
-        if (stats != nullptr) {
-          stats->facts = demanded.TotalFacts();
-          stats->cone_fraction =
-              edb.TotalFacts() == 0
-                  ? 0.0
-                  : static_cast<double>(demanded.TotalFacts()) /
-                        edb.TotalFacts();
-        }
-        OidGenerator gen;
-        Evaluator answerer(mr.schema, mr.checked, &gen);
-        return answerer.AnswerGoal(demanded, goal);
+        StripToCone(mr, edb, &demanded, stats);
+        return AnswerGoal(effective_schema, functions, demanded, goal);
       }
       // The rewrite left this backend's compilable fragment — treat it
       // like any other refusal and answer whole-program.
@@ -819,9 +801,7 @@ Result<std::vector<Bindings>> AlgresBackend::QueryGoal(
     stats->facts = instance.TotalFacts();
     stats->goal_directed_fallback = std::move(fallback_reason);
   }
-  OidGenerator gen;
-  Evaluator answerer(effective_schema, program, &gen);
-  return answerer.AnswerGoal(instance, goal);
+  return AnswerGoal(effective_schema, functions, instance, goal);
 }
 
 }  // namespace logres

@@ -95,6 +95,9 @@ Result<Oid> Database::InsertObject(const std::string& cls, Value ovalue) {
     return Status::NotFound(StrCat("'", cls, "' is not a class"));
   }
   verified_schema_.reset();
+  // The host may name oids the generator has not issued yet; skip past
+  // them so invented oids never collide and the state stays loadable.
+  gen_.FastForward(MaxOidIn(ovalue));
   return edb_.CreateObject(schema_, name, std::move(ovalue), &gen_,
                            ActiveUndo());
 }
@@ -105,6 +108,7 @@ Status Database::InsertTuple(const std::string& assoc, Value tuple) {
     return Status::NotFound(StrCat("'", assoc, "' is not an association"));
   }
   verified_schema_.reset();
+  gen_.FastForward(MaxOidIn(tuple));
   edb_.InsertTuple(name, std::move(tuple), ActiveUndo());
   return Status::OK();
 }
@@ -157,27 +161,17 @@ Result<std::optional<std::vector<Bindings>>> Database::QueryGoalDirected(
     if (stats != nullptr) stats->goal_directed_fallback = mr.fallback_reason;
     return std::optional<std::vector<Bindings>>();
   }
-  Instance seeded = edb;
-  for (const auto& [assoc, tuple] : mr.seeds) {
-    seeded.InsertTuple(assoc, tuple);
-  }
   Evaluator evaluator(mr.schema, mr.checked, &gen_);
   LOGRES_ASSIGN_OR_RETURN(Instance demanded,
-                          evaluator.Run(std::move(seeded), options));
+                          evaluator.Run(SeedDemand(mr, edb), options));
   EvalStats run_stats = evaluator.stats();
-  run_stats.magic_rules = mr.magic_rule_count;
-  run_stats.demand_facts = CountMagicFacts(demanded);
-  StripMagicFacts(&demanded);
-  run_stats.facts = demanded.TotalFacts();
-  run_stats.cone_fraction =
-      edb.TotalFacts() == 0
-          ? 0.0
-          : static_cast<double>(demanded.TotalFacts()) / edb.TotalFacts();
+  StripToCone(mr, edb, &demanded, &run_stats);
   // The seeds live in magic relations, stripped above, so `edb` is the
   // base the touched items are relative to.
   LOGRES_RETURN_NOT_OK(
       CheckRunResult(edb, effective, demanded, evaluator.touched()));
-  LOGRES_ASSIGN_OR_RETURN(auto answer, evaluator.AnswerGoal(demanded, goal));
+  LOGRES_ASSIGN_OR_RETURN(auto answer,
+                          AnswerGoal(effective, functions, demanded, goal));
   if (stats != nullptr) *stats = std::move(run_stats);
   if (cone != nullptr) *cone = std::move(demanded);
   return std::optional(std::move(answer));
@@ -205,19 +199,15 @@ Result<std::vector<Bindings>> Database::Query(const Goal& goal,
     fallback_reason = std::move(gd_stats.goal_directed_fallback);
   }
   EvalStats whole_stats;
-  LOGRES_ASSIGN_OR_RETURN(
-      Instance instance,
-      Evaluate(schema_, functions_, rules_, edb_, options, &whole_stats));
-  LOGRES_ASSIGN_OR_RETURN(Schema effective,
-                          EffectiveSchema(schema_, functions_));
-  LOGRES_ASSIGN_OR_RETURN(CheckedProgram program,
-                          Typecheck(effective, functions_, rules_));
-  Evaluator evaluator(effective, program, &gen_);
+  Schema effective;
+  LOGRES_ASSIGN_OR_RETURN(Instance instance,
+                          Evaluate(schema_, functions_, rules_, edb_, options,
+                                   &whole_stats, &effective));
   if (stats != nullptr) {
     *stats = std::move(whole_stats);
     stats->goal_directed_fallback = std::move(fallback_reason);
   }
-  return evaluator.AnswerGoal(instance, goal);
+  return AnswerGoal(effective, functions_, instance, goal);
 }
 
 Result<std::vector<Bindings>> Database::Query(
@@ -519,23 +509,18 @@ Result<ModuleResult> Database::ApplyInPlace(const Module& module,
     }
   }
 
-  // Goal answering (modes *DI only; Evaluate already used the module's
-  // rules for RIDI/RADI). Note: for the *DI modes the state members
-  // still hold S0/R0 here, so the merge below reconstructs S0 ∪ SM.
+  // Goal answering over the whole-program instance (modes *DI only). The
+  // goal is typed under the state's schema merged with the module's, so
+  // in RDDI the declarations the module just removed still type it.
   if (module.goal.has_value() && !goal_answered) {
     Schema merged = schema_;
     LOGRES_RETURN_NOT_OK(merged.Merge(module.schema));
     std::vector<FunctionDecl> fns =
         MergeFunctions(functions_, module.functions);
     LOGRES_ASSIGN_OR_RETURN(Schema effective, EffectiveSchema(merged, fns));
-    std::vector<Rule> rules = rules_;
-    rules.insert(rules.end(), module.rules.begin(), module.rules.end());
-    LOGRES_ASSIGN_OR_RETURN(CheckedProgram program,
-                            Typecheck(effective, fns, rules));
-    Evaluator evaluator(effective, program, &gen_);
     LOGRES_ASSIGN_OR_RETURN(
-        auto answer, evaluator.AnswerGoal(result.instance, *module.goal));
-    result.goal_answer = std::move(answer);
+        result.goal_answer,
+        AnswerGoal(effective, fns, result.instance, *module.goal));
   }
 
   // The last injection site before the transaction commits: a fault here

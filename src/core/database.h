@@ -129,6 +129,11 @@ class Database {
   void RestoreSnapshot(Snapshot snapshot);
 
   // ---- Direct EDB construction (host-language API) --------------------------
+  // Both entry points advance the oid generator past every oid the stored
+  // value names, so the state always dumps and loads (and a journaled
+  // store created from it recovers). Like every oid the generator hands
+  // out, the advance survives a snapshot rollback.
+
   /// \brief Creates an object in \p cls with \p ovalue; returns its oid.
   Result<Oid> InsertObject(const std::string& cls, Value ovalue);
 

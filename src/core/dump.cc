@@ -1,5 +1,6 @@
 #include "core/dump.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -241,32 +242,6 @@ class ValueParser {
 
 }  // namespace
 
-namespace {
-
-// Largest oid id mentioned anywhere in a value (0 when none).
-void MaxOidIn(const Value& value, uint64_t* max_id) {
-  switch (value.kind()) {
-    case ValueKind::kOid:
-      if (value.oid_value().id > *max_id) *max_id = value.oid_value().id;
-      break;
-    case ValueKind::kTuple:
-      for (const auto& [label, v] : value.tuple_fields()) {
-        (void)label;
-        MaxOidIn(v, max_id);
-      }
-      break;
-    case ValueKind::kSet:
-    case ValueKind::kMultiset:
-    case ValueKind::kSequence:
-      for (const Value& v : value.elements()) MaxOidIn(v, max_id);
-      break;
-    default:
-      break;
-  }
-}
-
-}  // namespace
-
 Result<Value> ParseValue(const std::string& source) {
   LOGRES_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
   ValueParser parser(std::move(tokens));
@@ -456,7 +431,7 @@ Result<Database> LoadDatabase(const std::string& dump) {
             return Status::ParseError(
                 StrCat("duplicate o-value assignment for oid ", oid.id));
           }
-          MaxOidIn(value, &max_used_oid);
+          max_used_oid = std::max(max_used_oid, MaxOidIn(value));
           LOGRES_RETURN_NOT_OK(db.mutable_edb()->AdoptObject(
               db.schema(), name, oid, std::move(value)));
         } else {
@@ -470,7 +445,7 @@ Result<Database> LoadDatabase(const std::string& dump) {
       if (section == Section::kTuples) {
         LOGRES_ASSIGN_OR_RETURN(Value tuple, parser.ParseOne());
         LOGRES_RETURN_NOT_OK(parser.Expect(TokenKind::kSemicolon, "';'"));
-        MaxOidIn(tuple, &max_used_oid);
+        max_used_oid = std::max(max_used_oid, MaxOidIn(tuple));
         db.mutable_edb()->InsertTuple(name, std::move(tuple));
         continue;
       }

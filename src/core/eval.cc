@@ -1576,20 +1576,16 @@ Status Evaluator::CheckDenials(const Instance& instance) const {
   return Status::OK();
 }
 
-Result<std::vector<Bindings>> Evaluator::AnswerGoal(
-    const Instance& instance, const Goal& goal) const {
+Result<std::vector<Bindings>> AnswerGoal(
+    const Schema& schema, const std::vector<FunctionDecl>& functions,
+    const Instance& instance, const Goal& goal) {
   // A goal is checked like a denial body, but its satisfying bindings are
   // the answer.
   Rule query;
   query.body = goal.literals;
-  std::vector<FunctionDecl> functions;
-  for (const auto& [name, fn] : program_.functions) {
-    (void)name;
-    functions.push_back(fn);
-  }
   LOGRES_ASSIGN_OR_RETURN(CheckedProgram checked,
-                          Typecheck(schema_, functions, {query}));
-  JoinContext ctx(schema_, checked, instance);
+                          Typecheck(schema, functions, {query}));
+  JoinContext ctx(schema, checked, instance);
   std::set<std::string> goal_vars;
   for (const Literal& lit : goal.literals) {
     std::vector<std::string> vars;

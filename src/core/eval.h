@@ -166,11 +166,6 @@ class Evaluator {
   /// its input (Instance::CheckConsistent's touched mode).
   const TouchedItems& touched() const { return touched_; }
 
-  /// \brief Answers a goal against a materialized instance: returns every
-  /// binding of the goal's variables (projected to named variables).
-  Result<std::vector<Bindings>> AnswerGoal(const Instance& instance,
-                                           const Goal& goal) const;
-
  private:
   friend class RuleFirer;
 
@@ -197,6 +192,13 @@ class Evaluator {
                          ResourceGovernor* governor) const;
   Status CheckDenials(const Instance& instance) const;
 };
+
+/// \brief Answers \p goal against a materialized \p instance: typechecks
+/// the goal alone under (\p schema, \p functions) and returns every
+/// binding of its variables (projected to named variables).
+Result<std::vector<Bindings>> AnswerGoal(
+    const Schema& schema, const std::vector<FunctionDecl>& functions,
+    const Instance& instance, const Goal& goal);
 
 /// \brief Grounds \p term under \p bindings against \p instance (exposed
 /// for tests; data-function applications read their backing association).

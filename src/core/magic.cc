@@ -118,20 +118,32 @@ bool IsMagicName(const std::string& name) {
   return name.rfind(kMagicPrefix, 0) == 0;
 }
 
-size_t CountMagicFacts(const Instance& instance) {
-  size_t n = 0;
-  for (const auto& [name, tuples] : instance.associations()) {
-    if (IsMagicName(name)) n += tuples.size();
+Instance SeedDemand(const MagicRewrite& rewrite, const Instance& edb) {
+  Instance seeded = edb;
+  for (const auto& [assoc, tuple] : rewrite.seeds) {
+    seeded.InsertTuple(assoc, tuple);
   }
-  return n;
+  return seeded;
 }
 
-void StripMagicFacts(Instance* instance) {
+void StripToCone(const MagicRewrite& rewrite, const Instance& edb,
+                 Instance* demanded, EvalStats* stats) {
   std::vector<std::string> magic;
-  for (const auto& [name, tuples] : instance->associations()) {
-    if (IsMagicName(name)) magic.push_back(name);
+  size_t demand_facts = 0;
+  for (const auto& [name, tuples] : demanded->associations()) {
+    if (!IsMagicName(name)) continue;
+    magic.push_back(name);
+    demand_facts += tuples.size();
   }
-  for (const std::string& name : magic) instance->DropAssociation(name);
+  for (const std::string& name : magic) demanded->DropAssociation(name);
+  if (stats == nullptr) return;
+  stats->magic_rules = rewrite.magic_rule_count;
+  stats->demand_facts = demand_facts;
+  stats->facts = demanded->TotalFacts();
+  stats->cone_fraction =
+      edb.TotalFacts() == 0
+          ? 0.0
+          : static_cast<double>(stats->facts) / edb.TotalFacts();
 }
 
 MagicRewrite MagicRewriteForGoal(const Schema& effective_schema,

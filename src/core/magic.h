@@ -19,10 +19,11 @@
 //     scheduled body);
 //   * the goal's constants seed $MAGIC$P as extensional facts.
 //
-// The rewritten program runs on the unmodified engines (direct evaluator,
-// ALGRES backend, and — via the flat twin in datalog.cc — the Datalog
-// baseline); magic predicates are stripped from the result before anything
-// user-visible sees it.
+// The rewritten program runs on the unmodified engines (the direct
+// evaluator and the ALGRES backend). Both call the same pair around their
+// run: SeedDemand builds the seeded input and StripToCone strips the magic
+// predicates from the result, before anything user-visible sees it, and
+// computes the cone statistics.
 //
 // The rewrite refuses (applied = false, with the reason recorded) whenever
 // it cannot prove the cone equals the whole-program answer:
@@ -109,14 +110,19 @@ MagicRewrite MagicRewriteForGoal(const Schema& effective_schema,
                                  const Goal& goal,
                                  const EvalOptions& options);
 
-/// \brief Number of magic-association tuples in \p instance (the
-/// EvalStats::demand_facts counter).
-size_t CountMagicFacts(const Instance& instance);
+/// \brief The input of the rewritten program's evaluation: a copy of
+/// \p edb with \p rewrite's demand seeds inserted.
+Instance SeedDemand(const MagicRewrite& rewrite, const Instance& edb);
 
-/// \brief Removes every magic association (tuples and relation entries)
-/// from \p instance, so dumps, diffs, and user-visible relations never
-/// contain demand bookkeeping.
-void StripMagicFacts(Instance* instance);
+/// \brief Turns \p demanded, the fixpoint of the rewritten program over
+/// SeedDemand(\p rewrite, \p edb), into the goal's cone: removes every
+/// magic association, so dumps, diffs, and user-visible relations never
+/// contain demand bookkeeping. When \p stats is non-null, fills its
+/// magic-set fields — magic_rules, demand_facts (magic tuples, seeds
+/// included), cone_fraction (cone facts / \p edb facts) — and facts
+/// (the cone's).
+void StripToCone(const MagicRewrite& rewrite, const Instance& edb,
+                 Instance* demanded, EvalStats* stats);
 
 }  // namespace logres
 

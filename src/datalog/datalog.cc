@@ -1,8 +1,6 @@
 #include "datalog/datalog.h"
 
 #include <algorithm>
-#include <optional>
-#include <queue>
 #include <unordered_map>
 #include <utility>
 
@@ -519,303 +517,6 @@ Result<std::set<Fact>> Query(const Database& db, const Literal& query) {
     if (Match(query, fact, &bindings, &trail)) out.insert(fact);
   }
   return out;
-}
-
-namespace {
-
-// ---- Goal-directed rewrite (positional twin of core/magic.cc) ------------
-
-constexpr char kMagicPredPrefix[] = "$magic$";
-
-// Demand pattern of a derived predicate: the argument positions whose
-// values flow from the goal's constants. Merging two patterns intersects
-// them (one adornment per predicate); an empty intersection weakens to
-// full demand — the predicate's rules then run unguarded.
-struct PositionalAdornment {
-  bool full = false;
-  std::set<size_t> bound;
-};
-
-bool MergePositional(std::map<std::string, PositionalAdornment>* adorn,
-                     const std::string& pred,
-                     const std::set<size_t>& occurrence_bound) {
-  auto it = adorn->find(pred);
-  if (it == adorn->end()) {
-    PositionalAdornment a;
-    if (occurrence_bound.empty()) {
-      a.full = true;
-    } else {
-      a.bound = occurrence_bound;
-    }
-    adorn->emplace(pred, std::move(a));
-    return true;
-  }
-  PositionalAdornment& a = it->second;
-  if (a.full) return false;
-  std::set<size_t> inter;
-  std::set_intersection(a.bound.begin(), a.bound.end(),
-                        occurrence_bound.begin(), occurrence_bound.end(),
-                        std::inserter(inter, inter.begin()));
-  if (inter == a.bound) return false;
-  if (inter.empty()) {
-    a.full = true;
-    a.bound.clear();
-  } else {
-    a.bound = std::move(inter);
-  }
-  return true;
-}
-
-std::set<size_t> BoundPositions(const Literal& lit,
-                                const std::set<std::string>& bound_vars) {
-  std::set<size_t> out;
-  for (size_t i = 0; i < lit.terms.size(); ++i) {
-    const Term& t = lit.terms[i];
-    if (!t.is_var() || bound_vars.count(t.var_name()) > 0) out.insert(i);
-  }
-  return out;
-}
-
-Literal MagicLiteralOf(const Literal& occurrence,
-                       const PositionalAdornment& a) {
-  Literal out;
-  out.predicate = kMagicPredPrefix + occurrence.predicate;
-  for (size_t pos : a.bound) out.terms.push_back(occurrence.terms[pos]);
-  return out;
-}
-
-struct DatalogRewrite {
-  bool applied = false;
-  std::string fallback_reason;
-  Program program;  // guarded + magic rules, edb + seed facts
-  size_t magic_rule_count = 0;
-};
-
-DatalogRewrite RewriteForGoal(const Program& program, const Literal& goal) {
-  DatalogRewrite out;
-  auto fallback = [](std::string reason) {
-    DatalogRewrite r;
-    r.fallback_reason = std::move(reason);
-    return r;
-  };
-  if (Result<std::map<std::string, int>> strata = Stratify(program);
-      !strata.ok()) {
-    return fallback("program is not stratified");
-  }
-
-  std::set<std::string> idb;
-  for (const Rule& rule : program.rules()) idb.insert(rule.head.predicate);
-
-  // Adornment fixpoint over the goal (a virtual headless rule) and every
-  // demanded rule, walking bodies in the engine's own bound-first
-  // schedule. Rule safety (AddRule) already guarantees negated literals
-  // are ground once the scheduled positives before them have run, so —
-  // unlike the LOGRES rewrite — no active-domain gate is needed.
-  std::map<std::string, PositionalAdornment> adorn;
-  auto walk = [&](const Literal* head,
-                  const PositionalAdornment* head_adorn,
-                  const std::vector<Literal>& body) -> bool {
-    bool changed = false;
-    std::set<std::string> bound;
-    if (head != nullptr && head_adorn != nullptr && !head_adorn->full) {
-      for (size_t pos : head_adorn->bound) {
-        if (head->terms[pos].is_var()) {
-          bound.insert(head->terms[pos].var_name());
-        }
-      }
-    }
-    Rule scratch;
-    scratch.body = body;
-    for (size_t i : ScheduleLiterals(scratch, kNoDeltaPos)) {
-      const Literal& lit = body[i];
-      if (idb.count(lit.predicate) > 0) {
-        changed |=
-            MergePositional(&adorn, lit.predicate, BoundPositions(lit, bound));
-      }
-      if (!lit.negated) {
-        for (const Term& t : lit.terms) {
-          if (t.is_var()) bound.insert(t.var_name());
-        }
-      }
-    }
-    return changed;
-  };
-  std::vector<Literal> goal_body = {goal};
-  for (bool changed = true; changed;) {
-    changed = walk(nullptr, nullptr, goal_body);
-    for (const Rule& rule : program.rules()) {
-      auto it = adorn.find(rule.head.predicate);
-      if (it == adorn.end()) continue;
-      PositionalAdornment head_adorn = it->second;  // copy: walk mutates
-      changed |= walk(&rule.head, &head_adorn, rule.body);
-    }
-  }
-
-  size_t dropped = 0;
-  for (const Rule& rule : program.rules()) {
-    if (adorn.count(rule.head.predicate) == 0) ++dropped;
-  }
-  bool any_magic = false;
-  for (const auto& [pred, a] : adorn) any_magic |= !a.full;
-  if (!any_magic && dropped == 0) {
-    return fallback(
-        "goal does not restrict evaluation "
-        "(no bound argument reaches a derived predicate)");
-  }
-
-  // Guarded rules, magic rules, seed facts.
-  std::set<std::string> rule_keys;
-  std::vector<Rule> magic_rules;
-  std::set<std::pair<std::string, Fact>> seeds;
-  auto emit_demand = [&](const Literal* head,
-                         const PositionalAdornment* head_adorn,
-                         const std::vector<Literal>& body,
-                         const std::optional<Literal>& guard) {
-    std::set<std::string> bound;
-    if (head != nullptr && head_adorn != nullptr && !head_adorn->full) {
-      for (size_t pos : head_adorn->bound) {
-        if (head->terms[pos].is_var()) {
-          bound.insert(head->terms[pos].var_name());
-        }
-      }
-    }
-    Rule scratch;
-    scratch.body = body;
-    std::vector<Literal> prefix;
-    for (size_t i : ScheduleLiterals(scratch, kNoDeltaPos)) {
-      const Literal& lit = body[i];
-      auto it = adorn.find(lit.predicate);
-      if (it != adorn.end() && !it->second.full) {
-        Literal magic_head = MagicLiteralOf(lit, it->second);
-        std::vector<Literal> magic_body;
-        if (guard.has_value()) magic_body.push_back(*guard);
-        magic_body.insert(magic_body.end(), prefix.begin(), prefix.end());
-        if (magic_body.empty()) {
-          // Every demanded position is a constant: a seed fact.
-          Fact seed;
-          for (const Term& t : magic_head.terms) {
-            seed.push_back(t.constant());
-          }
-          seeds.emplace(magic_head.predicate, std::move(seed));
-        } else {
-          Rule m;
-          m.head = std::move(magic_head);
-          m.body = std::move(magic_body);
-          bool tautology = m.body.size() == 1 &&
-                           m.body[0].ToString() == m.head.ToString();
-          if (!tautology && rule_keys.insert(m.ToString()).second) {
-            magic_rules.push_back(std::move(m));
-          }
-        }
-      }
-      prefix.push_back(lit);
-      if (!lit.negated) {
-        for (const Term& t : lit.terms) {
-          if (t.is_var()) bound.insert(t.var_name());
-        }
-      }
-    }
-  };
-
-  std::vector<Rule> guarded;
-  emit_demand(nullptr, nullptr, goal_body, std::nullopt);
-  for (const Rule& rule : program.rules()) {
-    auto it = adorn.find(rule.head.predicate);
-    if (it == adorn.end()) continue;
-    const PositionalAdornment& a = it->second;
-    Rule g = rule;
-    std::optional<Literal> guard;
-    if (!a.full) {
-      guard = MagicLiteralOf(rule.head, a);
-      g.body.insert(g.body.begin(), *guard);
-    }
-    guarded.push_back(std::move(g));
-    emit_demand(&rule.head, &a, rule.body, guard);
-  }
-
-  Program rewritten;
-  for (Rule& rule : guarded) {
-    if (Status s = rewritten.AddRule(std::move(rule)); !s.ok()) {
-      return fallback(StrCat("rewritten rule rejected: ", s.message()));
-    }
-  }
-  for (Rule& rule : magic_rules) {
-    if (Status s = rewritten.AddRule(std::move(rule)); !s.ok()) {
-      return fallback(StrCat("magic rule rejected: ", s.message()));
-    }
-  }
-  for (const auto& [pred, facts] : program.edb()) {
-    for (const Fact& fact : facts) {
-      if (Status s = rewritten.AddFact(pred, fact); !s.ok()) {
-        return fallback(StrCat("edb fact rejected: ", s.message()));
-      }
-    }
-  }
-  for (const auto& [pred, fact] : seeds) {
-    if (Status s = rewritten.AddFact(pred, fact); !s.ok()) {
-      return fallback(StrCat("seed fact rejected: ", s.message()));
-    }
-  }
-
-  if (Result<std::map<std::string, int>> strata = Stratify(rewritten);
-      !strata.ok()) {
-    // Magic rules copy negated prefix literals, which can close a
-    // negative cycle through the new demand predicates even though the
-    // original program was stratified. Evaluating that would change
-    // semantics — fall back to the whole program instead.
-    return fallback("magic rewrite would lose stratification");
-  }
-  out.applied = true;
-  out.program = std::move(rewritten);
-  out.magic_rule_count = magic_rules.size();
-  return out;
-}
-
-}  // namespace
-
-Result<std::set<Fact>> Query(const Program& program, const Literal& goal,
-                             const EvalOptions& options,
-                             GoalDirectedInfo* info) {
-  if (goal.negated) {
-    return Status::InvalidArgument("cannot query a negated literal");
-  }
-  std::string fallback_reason;
-  if (options.goal_directed) {
-    DatalogRewrite rewrite = RewriteForGoal(program, goal);
-    if (rewrite.applied) {
-      LOGRES_ASSIGN_OR_RETURN(Database db,
-                              Evaluate(rewrite.program, options));
-      if (info != nullptr) {
-        info->applied = true;
-        info->magic_rules = rewrite.magic_rule_count;
-        size_t edb_facts = 0;
-        for (const auto& [pred, facts] : program.edb()) {
-          edb_facts += facts.size();
-        }
-        size_t cone_facts = 0;
-        info->demand_facts = 0;
-        for (const auto& [pred, facts] : db) {
-          if (pred.rfind(kMagicPredPrefix, 0) == 0) {
-            info->demand_facts += facts.size();
-          } else {
-            cone_facts += facts.size();
-          }
-        }
-        info->cone_fraction =
-            edb_facts == 0
-                ? 0.0
-                : static_cast<double>(cone_facts) / edb_facts;
-      }
-      return Query(db, goal);
-    }
-    fallback_reason = std::move(rewrite.fallback_reason);
-  }
-  LOGRES_ASSIGN_OR_RETURN(Database db, Evaluate(program, options));
-  if (info != nullptr) {
-    info->applied = false;
-    info->fallback_reason = std::move(fallback_reason);
-  }
-  return Query(db, goal);
 }
 
 }  // namespace logres::datalog

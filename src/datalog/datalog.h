@@ -9,10 +9,13 @@
 // naively or semi-naively, and negation is supported when the program is
 // stratified.
 //
-// Benchmarks (B1/B2) run the same recursive workloads through this engine
-// and through the LOGRES evaluator to measure what the typed
-// object-oriented machinery costs — and the test suite cross-checks that
-// both produce identical results on the flat fragment.
+// It has two roles, both whole-program: the comparator the benchmarks
+// (B1/B2) run the same recursive workloads through, to measure what the
+// typed object-oriented machinery costs, and the oracle the test suite
+// cross-checks the LOGRES engines against on the flat fragment. It has no
+// goal-directed mode: a query evaluates the whole program and filters
+// (Evaluate, then Query). Demand rewriting belongs to the LOGRES engines
+// alone.
 
 #ifndef LOGRES_DATALOG_DATALOG_H_
 #define LOGRES_DATALOG_DATALOG_H_
@@ -148,22 +151,6 @@ struct EvalOptions {
   /// kDivergence (one step = one fixpoint round), deadline or fact-count
   /// breach is kResourceExhausted, cancellation is kCancelled.
   Budget budget;
-  /// Goal-directed query evaluation: Query(program, goal, ...) rewrites
-  /// the program with magic sets (positional twin of core/magic.h) so
-  /// only the goal's demanded cone is evaluated. Falls back to
-  /// whole-program evaluation — identical answers — whenever the rewrite
-  /// cannot prove equivalence (e.g. it would lose stratification).
-  bool goal_directed = true;
-};
-
-/// \brief Observability of one goal-directed query (mirrors the
-/// magic-set fields of the direct evaluator's EvalStats).
-struct GoalDirectedInfo {
-  bool applied = false;
-  std::string fallback_reason;  // set when !applied
-  size_t magic_rules = 0;       // demand rules added by the rewrite
-  size_t demand_facts = 0;      // $magic$ tuples derived (seeds included)
-  double cone_fraction = 0;     // non-magic derived facts / edb facts
 };
 
 /// \brief Computes the minimal model (perfect model when negation occurs).
@@ -180,21 +167,6 @@ Result<Database> Evaluate(const Program& program,
 /// \brief Answers a single (possibly non-ground) query literal against a
 /// materialized database: returns the matching facts.
 Result<std::set<Fact>> Query(const Database& db, const Literal& query);
-
-/// \brief Evaluates \p program as far as \p goal demands and returns the
-/// goal's matching facts. With options.goal_directed (the default) and a
-/// goal carrying at least one constant, the program is rewritten with
-/// magic sets — guarded rules plus demand rules seeded from the goal's
-/// constants, using the same bound-first literal schedule as evaluation
-/// (ScheduleLiterals) for sideways information passing — so only the
-/// demanded cone is computed. Answers are identical to evaluating the
-/// whole program and filtering; the rewrite falls back to exactly that
-/// (reason in info->fallback_reason) when it cannot prove equivalence.
-/// Magic predicates never escape: the returned facts are the goal
-/// predicate's only.
-Result<std::set<Fact>> Query(const Program& program, const Literal& goal,
-                             const EvalOptions& options,
-                             GoalDirectedInfo* info = nullptr);
 
 /// \brief Computes the predicate-dependency strata. Exposed for tests.
 /// Returns, for each predicate, its stratum index; error if not stratified.

@@ -509,12 +509,10 @@ Status ReferenceQuery(const Database& db, const Goal& goal, OidGenerator gen) {
                             evaluator.Run(db.edb(), Options()));
     return instance.CheckConsistent(db.schema());
   }
-  Instance seeded = db.edb();
-  for (const auto& [assoc, tuple] : mr.seeds) seeded.InsertTuple(assoc, tuple);
   Evaluator evaluator(mr.schema, mr.checked, &gen);
   LOGRES_ASSIGN_OR_RETURN(Instance demanded,
-                          evaluator.Run(std::move(seeded), Options()));
-  StripMagicFacts(&demanded);
+                          evaluator.Run(SeedDemand(mr, db.edb()), Options()));
+  StripToCone(mr, db.edb(), &demanded, nullptr);
   return demanded.CheckConsistent(db.schema());
 }
 

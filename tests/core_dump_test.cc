@@ -192,6 +192,31 @@ TEST(DumpTest, EmptyDatabaseRoundTrips) {
   EXPECT_TRUE(loaded->edb() == db->edb());
 }
 
+// The host API accepts references to oids the generator has not issued
+// (dangling, so queries reject the state); such a state still
+// round-trips, tuples and o-values alike.
+TEST(DumpTest, HostOidsAboveTheGeneratorRoundTrip) {
+  auto db = Database::Create(R"(
+    classes PERSON = (name: string, spouse: PERSON);
+    associations PARENT = (par: PERSON, chi: PERSON);
+  )");
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto ann = db->InsertObject(
+      "PERSON", Value::MakeTuple({{"name", Value::String("ann")},
+                                  {"spouse", Value::MakeOid(Oid{500})}}));
+  ASSERT_TRUE(ann.ok()) << ann.status();
+  ASSERT_TRUE(db->InsertTuple(
+                    "PARENT",
+                    Value::MakeTuple({{"par", Value::MakeOid(*ann)},
+                                      {"chi", Value::MakeOid(Oid{999})}}))
+                  .ok());
+  EXPECT_EQ(db->oids_issued(), 999u);
+  std::string dump = DumpDatabase(*db);
+  auto loaded = LoadDatabase(dump);
+  ASSERT_TRUE(loaded.ok()) << dump << "\n" << loaded.status();
+  EXPECT_EQ(DumpDatabase(*loaded), dump);
+}
+
 TEST(DumpTest, MalformedDumpsRejected) {
   EXPECT_FALSE(LoadDatabase("objects\n  GHOST 1 = nil;\n").ok());
   EXPECT_FALSE(LoadDatabase("generator x;\n").ok());

@@ -110,6 +110,53 @@ TEST(ModeTest, RddiRemovesRules) {
   EXPECT_TRUE(inst->TuplesOf("Q").empty());
 }
 
+// A goal in an RDDI module is answered over the instance recomputed
+// without the deleted rules.
+TEST(ModeTest, RddiAnswersGoalsAfterTheDeletion) {
+  Database db = FreshDb().value();
+  ASSERT_TRUE(db.ApplySource("rules q(x: X) <- p(x: X).",
+                             ApplicationMode::kRADI).ok());
+  auto deleted = db.ApplySource(R"(
+    rules q(x: X) <- p(x: X).
+    goal ? q(x: X).
+  )", ApplicationMode::kRDDI);
+  ASSERT_TRUE(deleted.ok()) << deleted.status();
+  EXPECT_TRUE(db.rules().empty());
+  ASSERT_TRUE(deleted->goal_answer.has_value());
+  EXPECT_TRUE(deleted->goal_answer->empty());
+
+  // A goal on an extensional predicate still answers.
+  auto edb_goal = db.ApplySource(R"(
+    rules q(x: X) <- p(x: X).
+    goal ? p(x: X).
+  )", ApplicationMode::kRDDI);
+  ASSERT_TRUE(edb_goal.ok()) << edb_goal.status();
+  ASSERT_TRUE(edb_goal->goal_answer.has_value());
+  EXPECT_EQ(edb_goal->goal_answer->size(), 2u);
+
+  // A goal on an undeclared predicate is rejected, state untouched.
+  auto unknown = db.ApplySource("goal ? r(x: X).", ApplicationMode::kRDDI);
+  EXPECT_EQ(unknown.status(),
+            Status::NotFound("unknown predicate 'r' (no class or "
+                             "association named R)"));
+  EXPECT_TRUE(db.rules().empty());
+
+  // The module's own declarations type its goal even when the deletion
+  // removes them: the goal then finds no facts.
+  ASSERT_TRUE(db.ApplySource("associations R = (y: integer);"
+                             "rules r(y: X) <- p(x: X).",
+                             ApplicationMode::kRADI).ok());
+  auto undeclared = db.ApplySource(R"(
+    associations R = (y: integer);
+    rules r(y: X) <- p(x: X).
+    goal ? r(y: Y).
+  )", ApplicationMode::kRDDI);
+  ASSERT_TRUE(undeclared.ok()) << undeclared.status();
+  EXPECT_FALSE(db.schema().IsAssociation("R"));
+  ASSERT_TRUE(undeclared->goal_answer.has_value());
+  EXPECT_TRUE(undeclared->goal_answer->empty());
+}
+
 TEST(ModeTest, RddiRemovingAbsentRuleIsNoop) {
   Database db = FreshDb().value();
   auto result = db.ApplySource("rules q(x: 99) <- p(x: 1).",

@@ -2,9 +2,10 @@
 // (core/magic.h): the rewrite is deterministic, its output is stratified
 // or it falls back (never evaluating a non-stratified rewrite), magic
 // predicates never leak into dumps / Database state / module results,
-// answers are identical to whole-program evaluation across all three
-// engines, and programs outside the provable fragment (oid invention,
-// class heads) fall back with a recorded reason.
+// answers are identical to whole-program evaluation on both LOGRES
+// engines (and agree with the flat baseline's whole-program closure), and
+// programs outside the provable fragment (oid invention, class heads)
+// fall back with a recorded reason.
 
 #include <string>
 #include <vector>
@@ -297,7 +298,8 @@ TEST(MagicTest, OidInventionFallsBackAndStateStaysIdentical) {
   EXPECT_EQ(DumpDatabase(on_db), DumpDatabase(off_db));
 }
 
-// The three engines answer the same selective goal identically.
+// Both LOGRES engines answer a selective goal in its cone exactly as over
+// the whole program, and the flat oracle's closure agrees.
 TEST(MagicTest, EnginesAgreeOnSelectiveGoals) {
   Database db = ChainDb(18).value();
   Goal goal = ParseGoal("? tc(a: 6, b: X).").value();
@@ -324,69 +326,27 @@ TEST(MagicTest, EnginesAgreeOnSelectiveGoals) {
       << algres_stats.goal_directed_fallback;
   EXPECT_GE(algres_stats.demand_facts, 1u);
 
-  datalog::Program twin;
+  datalog::Program chain;
   for (int64_t i = 0; i + 1 < 18; ++i) {
-    ASSERT_TRUE(twin.AddFact("e", {datalog::Constant::Int(i),
+    ASSERT_TRUE(chain.AddFact("e", {datalog::Constant::Int(i),
                                    datalog::Constant::Int(i + 1)})
                     .ok());
   }
   using datalog::Term;
-  ASSERT_TRUE(twin.AddRule({{"tc", {Term::Var("X"), Term::Var("Y")}},
+  ASSERT_TRUE(chain.AddRule({{"tc", {Term::Var("X"), Term::Var("Y")}},
                             {{"e", {Term::Var("X"), Term::Var("Y")}}}})
                   .ok());
-  ASSERT_TRUE(twin.AddRule({{"tc", {Term::Var("X"), Term::Var("Z")}},
+  ASSERT_TRUE(chain.AddRule({{"tc", {Term::Var("X"), Term::Var("Z")}},
                             {{"tc", {Term::Var("X"), Term::Var("Y")}},
                              {"e", {Term::Var("Y"), Term::Var("Z")}}}})
                   .ok());
-  datalog::Literal dl_goal{"tc", {Term::Int(6), Term::Var("X")}};
-  datalog::EvalOptions dl_on;
-  datalog::EvalOptions dl_off;
-  dl_off.goal_directed = false;
-  datalog::GoalDirectedInfo info;
-  auto flat_on = datalog::Query(twin, dl_goal, dl_on, &info);
-  auto flat_off = datalog::Query(twin, dl_goal, dl_off);
-  ASSERT_TRUE(flat_on.ok()) << flat_on.status();
-  ASSERT_TRUE(flat_off.ok());
-  EXPECT_EQ(*flat_on, *flat_off);
-  EXPECT_TRUE(info.applied) << info.fallback_reason;
-  EXPECT_GE(info.demand_facts, 1u);
-  EXPECT_EQ(flat_on->size(), direct_on->size());
-}
-
-// The flat engine detects the same stratification-loss case.
-TEST(MagicTest, DatalogStratificationLossFallsBack) {
-  using datalog::Constant;
-  using datalog::Term;
-  datalog::Program program;
-  ASSERT_TRUE(program.AddFact("b", {Constant::Int(1)}).ok());
-  ASSERT_TRUE(program.AddFact("b", {Constant::Int(2)}).ok());
-  ASSERT_TRUE(program.AddFact("v", {Constant::Int(2)}).ok());
-  ASSERT_TRUE(program.AddRule({{"w", {Term::Var("X")}},
-                               {{"q", {Term::Var("X")}},
-                                {"v", {Term::Var("X")}}}})
-                  .ok());
-  ASSERT_TRUE(program.AddRule({{"q", {Term::Var("X")}},
-                               {{"b", {Term::Var("X")}}}})
-                  .ok());
-  datalog::Rule p_rule{{"p", {Term::Var("X")}},
-                       {{"b", {Term::Var("X")}},
-                        {"w", {Term::Var("X")}, /*negated=*/true},
-                        {"q", {Term::Var("X")}}}};
-  ASSERT_TRUE(program.AddRule(p_rule).ok());
-
-  datalog::Literal goal{"p", {Term::Int(1)}};
-  datalog::GoalDirectedInfo info;
-  auto on = datalog::Query(program, goal, datalog::EvalOptions{}, &info);
-  ASSERT_TRUE(on.ok()) << on.status();
-  EXPECT_FALSE(info.applied);
-  EXPECT_NE(info.fallback_reason.find("stratification"), std::string::npos)
-      << info.fallback_reason;
-  datalog::EvalOptions off_options;
-  off_options.goal_directed = false;
-  auto off = datalog::Query(program, goal, off_options);
-  ASSERT_TRUE(off.ok());
-  EXPECT_EQ(*on, *off);
-  EXPECT_EQ(on->size(), 1u);
+  // The flat engine is the whole-program oracle.
+  auto closure = datalog::Evaluate(chain);
+  ASSERT_TRUE(closure.ok()) << closure.status();
+  auto flat = datalog::Query(
+      *closure, datalog::Literal{"tc", {Term::Int(6), Term::Var("X")}});
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  EXPECT_EQ(flat->size(), direct_on->size());
 }
 
 }  // namespace

@@ -222,8 +222,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialProperty,
 //
 // For the same random programs, point queries with randomized adornments
 // (all-bound, one bound field, all-free) must answer identically with the
-// magic-set rewrite on and off, on every engine and interner setting —
-// and the LOGRES answers must match the flat baseline's fact-for-fact.
+// magic-set rewrite on and off, on both LOGRES engines and every interner
+// setting — and must match the flat baseline's whole-program closure
+// fact-for-fact.
 
 class PointQueryDifferential : public ::testing::TestWithParam<unsigned> {};
 
@@ -246,6 +247,10 @@ TEST_P(PointQueryDifferential, GoalDirectedMatchesWholeProgram) {
         Value::MakeTuple({{"f1", Value::Int(fact[1])},
                           {"f2", Value::Int(fact[2])}})).ok());
   }
+
+  // The flat oracle's whole-program closure, shared by every goal.
+  auto flat_closure = datalog::Evaluate(gen.baseline);
+  ASSERT_TRUE(flat_closure.ok()) << flat_closure.status() << "\n" << source;
 
   using datalog::Term;
   for (int g = 0; g < 6; ++g) {
@@ -310,17 +315,13 @@ TEST_P(PointQueryDifferential, GoalDirectedMatchesWholeProgram) {
         {c1 ? Term::Int(*c1) : Term::Var("QX"),
          c2 ? Term::Int(*c2) : Term::Var("QY")},
         false};
-    for (bool gd : {true, false}) {
-      datalog::EvalOptions dl;
-      dl.goal_directed = gd;
-      auto flat = datalog::Query(gen.baseline, dl_goal, dl);
-      ASSERT_TRUE(flat.ok()) << flat.status() << "\n" << source;
-      std::set<std::pair<int64_t, int64_t>> flat_facts;
-      for (const auto& fact : *flat) {
-        flat_facts.emplace(fact[0].int_value(), fact[1].int_value());
-      }
-      EXPECT_EQ(flat_facts, logres_facts) << "gd=" << gd << "\n" << source;
+    auto flat = datalog::Query(*flat_closure, dl_goal);
+    ASSERT_TRUE(flat.ok()) << flat.status() << "\n" << source;
+    std::set<std::pair<int64_t, int64_t>> flat_facts;
+    for (const auto& fact : *flat) {
+      flat_facts.emplace(fact[0].int_value(), fact[1].int_value());
     }
+    EXPECT_EQ(flat_facts, logres_facts) << source;
   }
 }
 
@@ -442,7 +443,8 @@ TEST(ClassificationParity, FactCeilingIsResourceExhaustedEverywhere) {
   ExpectClassification(*engines, cramped, StatusCode::kResourceExhausted);
 }
 
-// The same contract holds goal-directed: once the magic rewrite applies,
+// The same contract holds goal-directed on both LOGRES engines (the flat
+// baseline has no goal-directed mode): once the magic rewrite applies,
 // budget failures propagate with the whole-program classification — they
 // are never silently converted into a fallback. The goal's cone from node
 // 0 spans the whole chain, so the budgets breach exactly as above.
@@ -466,15 +468,6 @@ void ExpectGoalDirectedClassification(ChainEngines& engines,
     EXPECT_EQ(compiled.status().code(), expected)
         << "algres, intern=" << intern << ": " << compiled.status();
   }
-
-  datalog::EvalOptions dl;
-  dl.budget = budget;
-  datalog::Literal dl_goal{
-      "tc", {datalog::Term::Int(0), datalog::Term::Var("X")}, false};
-  datalog::GoalDirectedInfo info;
-  auto flat = datalog::Query(engines.baseline, dl_goal, dl, &info);
-  ASSERT_FALSE(flat.ok()) << "datalog";
-  EXPECT_EQ(flat.status().code(), expected) << "datalog: " << flat.status();
 }
 
 TEST(ClassificationParity, GoalDirectedStepExhaustionIsDivergence) {

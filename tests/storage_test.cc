@@ -238,6 +238,35 @@ TEST(JournaledDatabaseTest, CreateOpenRoundTrip) {
   EXPECT_EQ(st.truncated_bytes_at_open, 0u);
 }
 
+// A state built through the host API may name an oid the generator has
+// not issued (a dangling reference, which queries reject). Create
+// acknowledges it, so Open must recover it.
+TEST(JournaledDatabaseTest, HostStateNamingAnUnissuedOidRecovers) {
+  auto db = Database::Create(R"(
+    classes PERSON = (name: string);
+    associations PARENT = (par: PERSON, chi: PERSON);
+  )");
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto ann = db->InsertObject(
+      "PERSON", Value::MakeTuple({{"name", Value::String("ann")}}));
+  ASSERT_TRUE(ann.ok()) << ann.status();
+  ASSERT_TRUE(db->InsertTuple(
+                    "PARENT",
+                    Value::MakeTuple({{"par", Value::MakeOid(*ann)},
+                                      {"chi", Value::MakeOid(Oid{999})}}))
+                  .ok());
+  std::string dir = MakeTempDir();
+  std::string live_dump;
+  {
+    auto store = JournaledDatabase::Create(dir, std::move(db).value());
+    ASSERT_TRUE(store.ok()) << store.status();
+    live_dump = DumpDatabase(store->db());
+  }
+  auto reopened = JournaledDatabase::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(DumpDatabase(reopened->db()), live_dump);
+}
+
 TEST(JournaledDatabaseTest, CreateRefusesExistingStore) {
   std::string dir = MakeTempDir();
   {
